@@ -19,14 +19,12 @@ from .forms import (BinaryForm, DiscFactorization, GeneralForm,
                     TwoSingularReduction, arnold_compose, change_variables,
                     factor_discriminant, format_form, is_isotropic_mod_p,
                     is_singular_mod_p, odd_singular_reduction, parse_form,
-                    reduce_odd_singular, reduce_two_singular,
                     two_singular_reduction)
 from .oracle import (DEFAULT_SCHEDULE, CoverageReport, CoverageSchedule,
                      CrossCheckReport, coverage, cross_check,
-                     excluded_classes, missing_csv)
-from .padic import (INFINITY, PAdicValue, Prime, SquareClass, is_prime,
-                    is_square_in_qp, legendre, mod_inverse, split_unit,
-                    square_class, valuation, valuation_rational)
+                     excluded_classes)
+from .padic import (INFINITY, Prime, is_prime, is_square_in_qp, legendre,
+                    mod_inverse, split_unit, valuation, valuation_rational)
 from .witness import (DEFAULT_BUDGET, ExclusionCertificate, Witness,
                       approximate_quotient, exclusion_certificate,
                       least_nonresidue, lift_representation,
@@ -42,17 +40,14 @@ __all__ = [
     "LEAF_ANISOTROPIC", "LEAF_NONSINGULAR", "LEAF_ODD_K_ODD",
     "LEAF_ODD_NONRESIDUE", "LEAF_ODD_RESIDUE", "LEAF_TWO_K_ODD",
     "LEAF_TWO_UNIT_NONSQUARE", "LEAF_TWO_UNIT_SQUARE", "OddSingularReduction",
-    "PAdicValue", "PathNode", "Prime", "SquareClass", "TAG_RANK_HIGH",
-    "TAG_RANK_ONE", "TAG_SQUARE_CLASS", "TwoSingularReduction", "Verdict",
-    "Witness", "approximate_quotient", "arnold_compose", "change_variables",
-    "coverage", "cross_check", "decide", "decide_binary_squareclass",
-    "decide_binary_tree", "decide_checked", "decide_general",
-    "excluded_classes", "exclusion_certificate", "factor_discriminant",
-    "format_form", "is_isotropic_mod_p", "is_prime", "is_singular_mod_p",
-    "is_square_in_qp", "least_nonresidue", "legendre", "lift_representation",
-    "lift_representation_two", "missing_csv", "mod_inverse",
+    "PathNode", "Prime", "TAG_RANK_HIGH", "TAG_RANK_ONE", "TAG_SQUARE_CLASS",
+    "TwoSingularReduction", "Verdict", "Witness", "approximate_quotient",
+    "arnold_compose", "change_variables", "coverage", "cross_check", "decide",
+    "decide_binary_squareclass", "decide_binary_tree", "decide_checked",
+    "decide_general", "excluded_classes", "exclusion_certificate",
+    "factor_discriminant", "format_form", "is_isotropic_mod_p", "is_prime",
+    "is_singular_mod_p", "is_square_in_qp", "least_nonresidue", "legendre",
+    "lift_representation", "lift_representation_two", "mod_inverse",
     "odd_singular_reduction", "parse_form", "quotient_error_valuation",
-    "reduce_odd_singular", "reduce_two_singular", "split_unit",
-    "square_class", "two_singular_reduction", "valuation",
-    "valuation_rational",
+    "split_unit", "two_singular_reduction", "valuation", "valuation_rational",
 ]

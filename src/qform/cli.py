@@ -32,6 +32,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# options whose values may start with "-": a negative coefficient or target
+_SIGNED_OPTIONS = ("--form", "--coeffs", "--target")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite "--form -1,0,1" as "--form=-1,0,1".
+
+    argparse reads a separate value that starts with "-" as another option.
+    A following "--name" stays an option, so a missing value is still reported.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and not token.startswith("--"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _add_form_arguments(sp, with_prime=True):
     sp.add_argument("--form",
                     help='binary form "a,b,c" or general form "rank; coeffs"')
@@ -273,7 +292,8 @@ def _cmd_sweep(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(
+            sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
     except (UsageError, InvalidFormError, BudgetExceededError,
             ValueError) as exc:

@@ -144,12 +144,12 @@ def decide_checked(f: BinaryForm, p: int) -> Verdict:
 
 
 def decide_general(f: GeneralForm, p: int) -> Verdict:
-    """Decide any rank: rank 1 never dense, rank 2 delegates, rank >= 3 always dense."""
+    """Decide any rank: rank 1 never dense, rank 2 cross-checked, rank >= 3 dense."""
     if f.rank >= 3:
         path = [PathNode("rank", f"Is the rank {f.rank} at least 3?", "yes")]
         return _leaf(True, TAG_RANK_HIGH, path, None)
     if f.rank == 2:
-        return decide_binary_tree(f.to_binary(), p)
+        return decide_checked(f.to_binary(), p)
     # rank 1: values are a*x^2, so quotients are exactly the rational squares,
     # which miss entire square classes of the p-adic numbers
     path = [PathNode("rank", f"Is the rank {f.rank} at least 3?", "no")]
@@ -157,9 +157,7 @@ def decide_general(f: GeneralForm, p: int) -> Verdict:
 
 
 def decide(f: BinaryForm | GeneralForm, p: int) -> Verdict:
-    """Front door: cross-checked for binary and rank-2 forms, direct otherwise."""
+    """Front door: binary forms cross-checked, every other form by its rank."""
     if isinstance(f, BinaryForm):
         return decide_checked(f, p)
-    if f.rank == 2:
-        return decide_checked(f.to_binary(), p)
     return decide_general(f, p)

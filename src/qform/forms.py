@@ -238,14 +238,6 @@ def odd_singular_reduction(f: BinaryForm, p: int) -> OddSingularReduction:
     return OddSingularReduction(f, reduced, int(p), k, u, swapped)
 
 
-def reduce_odd_singular(f: BinaryForm, p: int, k: int) -> BinaryForm:
-    """Reduced form of discriminant ell; k must equal the discriminant valuation."""
-    red = odd_singular_reduction(f, p)
-    if red.k != k:
-        raise ValueError(f"k={k} does not match the discriminant valuation {red.k}")
-    return red.reduced
-
-
 @dataclass(frozen=True, slots=True)
 class TwoSingularReduction:
     """Outcome of stripping an even power of 2 when ell = 1 mod 8.
@@ -303,14 +295,6 @@ def two_singular_reduction(f: BinaryForm) -> TwoSingularReduction:
         raise InternalConsistencyError(
             f"reduced discriminant {reduced.discriminant()} != {ell}")
     return TwoSingularReduction(f, reduced, k, q, swapped)
-
-
-def reduce_two_singular(f: BinaryForm, k: int) -> BinaryForm:
-    """Reduced form of discriminant ell; k must equal the discriminant valuation."""
-    red = two_singular_reduction(f)
-    if red.k != k:
-        raise ValueError(f"k={k} does not match the discriminant valuation {red.k}")
-    return red.reduced
 
 
 def arnold_compose(f: BinaryForm, p1, p2, p3) -> tuple[int, int]:

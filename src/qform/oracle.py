@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .decide import (LEAF_ANISOTROPIC, LEAF_ODD_K_ODD, LEAF_ODD_NONRESIDUE,
 from .forms import BinaryForm, GeneralForm, format_form
 from .padic import legendre, mod_inverse, valuation
 
-# beyond this, box values may not fit int64 and enumeration goes pure Python
+# beyond this, box values may not fit int64 and enumeration uses object arrays
 _INT64_SAFE = 2 ** 62
 _INT32_SAFE = 2 ** 31
 
@@ -35,6 +34,20 @@ def _form_coeffs(f) -> tuple[int, ...]:
 def _max_abs_value(f, bound: int) -> int:
     """Upper bound for |Q(x)| over the box, also valid per monomial term."""
     return sum(abs(c) for c in _form_coeffs(f)) * bound * bound
+
+
+def _by_valuation(values: np.ndarray, p: int):
+    """Distinct nonzero values, ascending, and the p-adic valuation of each."""
+    arr = np.unique(values)
+    arr = arr[arr != 0]
+    vals = np.zeros(arr.size, dtype=np.int64)
+    cur = np.abs(arr)
+    mask = cur % p == 0
+    while mask.any():
+        vals[mask] += 1
+        cur[mask] //= p
+        mask = cur % p == 0
+    return arr, vals
 
 
 class _ResidueTracker:
@@ -62,52 +75,16 @@ class _ResidueTracker:
         return len(self.covered) == self.modulus
 
     def add_batch(self, values) -> None:
-        if isinstance(values, np.ndarray):
-            self._add_numpy(values)
-        else:
-            self._add_python(values)
-
-    def _add_numpy(self, values: np.ndarray) -> None:
+        values = np.asarray(values)
         if values.size == 0:
             return
-        arr = np.unique(values)
-        idx = int(np.searchsorted(arr, 0))
-        if idx < arr.size and arr[idx] == 0:
-            self.saw_zero = True
-            arr = np.delete(arr, idx)
-        if arr.size == 0:
-            self._absorb_zero()
-            return
-        vals = np.zeros(arr.size, dtype=np.int64)
-        cur = np.abs(arr)
-        mask = cur % self.p == 0
-        while mask.any():
-            vals[mask] += 1
-            cur[mask] //= self.p
-            mask = cur % self.p == 0
-        vmax = int(vals.max())
-        for s in range(vmax + 1):
+        self.saw_zero = self.saw_zero or bool((values == 0).any())
+        arr, vals = _by_valuation(values, self.p)
+        for s in range(int(vals.max()) + 1 if arr.size else 0):
             ps = self.p ** s
-            ge = arr[vals >= s]
-            nums = set((ge // ps % self.modulus).tolist())
-            eq = arr[vals == s]
-            dens = set((eq // ps % self.modulus).tolist())
+            nums = set((arr[vals >= s] // ps % self.modulus).tolist())
+            dens = set((arr[vals == s] // ps % self.modulus).tolist())
             self._merge(s, nums, dens)
-        self._absorb_zero()
-
-    def _add_python(self, values: Iterable[int]) -> None:
-        nums_by_s: dict[int, set[int]] = {}
-        dens_by_s: dict[int, set[int]] = {}
-        for v in set(values):
-            if v == 0:
-                self.saw_zero = True
-                continue
-            s = int(valuation(v, self.p))
-            for j in range(s + 1):
-                nums_by_s.setdefault(j, set()).add(v // self.p ** j % self.modulus)
-            dens_by_s.setdefault(s, set()).add(v // self.p ** s % self.modulus)
-        for s in sorted(set(nums_by_s) | set(dens_by_s)):
-            self._merge(s, nums_by_s.get(s, set()), dens_by_s.get(s, set()))
         self._absorb_zero()
 
     def _merge(self, s: int, nums: set[int], dens: set[int]) -> None:
@@ -152,57 +129,86 @@ def _expanding_bounds(bound: int):
 
 
 def _shell_batches(f, lo: int, hi: int):
-    """Value arrays over lattice points with lo < max|coordinate| <= hi."""
+    """(prefix, keep, values) over lattice points with lo < max|coordinate| <= hi.
+
+    lo = 0 gives the whole box, origin included. prefix fixes all but the last
+    two coordinates (the only one at rank 1); values runs over those in C
+    order, restricted to the boolean mask keep unless keep is None. Together
+    the batches list the shell in itertools.product order. Values past int64
+    are exact Python ints in object arrays.
+    """
     peak = _max_abs_value(f, hi)
-    if peak >= _INT64_SAFE:
-        yield from _shell_batches_python(f, lo, hi)
+    dtype = (np.int32 if peak < _INT32_SAFE
+             else np.int64 if peak < _INT64_SAFE else object)
+    idx = np.arange(-hi, hi + 1)
+    side = idx.astype(dtype)
+    outside = np.abs(idx) > lo
+    if f.rank == 1:
+        keep = outside if lo else None
+        vals = _form_coeffs(f)[0] * side * side
+        yield (), keep, vals if keep is None else vals[keep]
         return
-    dtype = np.int32 if peak < _INT32_SAFE else np.int64
-    rank = f.rank
-    side = np.arange(-hi, hi + 1, dtype=dtype)
-    if rank == 1:
-        a = _form_coeffs(f)[0]
-        vals = a * side * side
-        yield vals[np.abs(side) > lo] if lo else vals
-        return
-    u = side[:, None]
-    v = side[None, :]
-    uu = u * u
-    uv = u * v
-    vv = v * v
-    inner_new = np.maximum(np.abs(u), np.abs(v)) > lo
-    if rank == 2:
-        a, b, c = _form_coeffs(f)
-        vals = a * uu + b * uv + c * vv
-        yield vals[inner_new] if lo else vals.ravel()
-        return
-    aa = f.coeff(rank - 2, rank - 2)
-    bb = f.coeff(rank - 2, rank - 1)
-    cc = f.coeff(rank - 1, rank - 1)
-    for outer in product(range(-hi, hi + 1), repeat=rank - 2):
-        lin_u = sum(f.coeff(i, rank - 2) * outer[i] for i in range(rank - 2))
-        lin_v = sum(f.coeff(i, rank - 1) * outer[i] for i in range(rank - 2))
-        const = sum(f.coeff(i, j) * outer[i] * outer[j]
-                    for i in range(rank - 2) for j in range(i, rank - 2))
-        vals = aa * uu + bb * uv + cc * vv + lin_u * u + lin_v * v + const
-        if lo and max(abs(t) for t in outer) <= lo:
-            yield vals[inner_new]
+    n = f.rank - 2
+    aa, bb, cc = _form_coeffs(f)[-3:]
+    u, v = side[:, None], side[None, :]
+    quad = aa * u * u + bb * u * v + cc * v * v
+    inner_new = outside[:, None] | outside[None, :]
+    for prefix in product(range(-hi, hi + 1), repeat=n):
+        vals = quad
+        if prefix:
+            lin_u = sum(f.coeff(i, n) * prefix[i] for i in range(n))
+            lin_v = sum(f.coeff(i, n + 1) * prefix[i] for i in range(n))
+            const = sum(f.coeff(i, j) * prefix[i] * prefix[j]
+                        for i in range(n) for j in range(i, n))
+            vals = quad + lin_u * u + lin_v * v + const
+        if lo and max(map(abs, prefix), default=0) <= lo:
+            yield prefix, inner_new, vals[inner_new]
         else:
-            yield vals.ravel()
+            yield prefix, None, vals.ravel()
 
 
-def _shell_batches_python(f, lo: int, hi: int):
-    """Exact fallback for coefficient sizes beyond the int64 comfort zone."""
-    batch = []
-    for pt in product(range(-hi, hi + 1), repeat=f.rank):
-        if max(abs(t) for t in pt) <= lo:
+def _point_at(f, hi: int, prefix: tuple, keep, i: int) -> tuple[int, ...]:
+    """The lattice point behind entry i of a _shell_batches value array."""
+    if keep is not None:
+        i = np.flatnonzero(keep)[i]
+    shape = (2 * hi + 1,) * min(f.rank, 2)
+    return prefix + tuple(int(t) - hi for t in np.unravel_index(i, shape))
+
+
+def _value_pair(values, p: int, tn: int, td: int, r: int):
+    """First value pair (N, D) whose quotient is within p**-r of tn/td, or None.
+
+    Denominators go by (|D|, D), and each takes the least numerator N with
+    N*td = tn*D mod p**(r + v(D) + v(td)). Dividing out p**v(td) leaves one
+    congruence mod p**(r + s) per valuation class s of denominators.
+    """
+    values = np.asarray(values)
+    dens, vals = _by_valuation(values, p)
+    nums = np.insert(dens, np.searchsorted(dens, 0), 0) \
+        if (values == 0).any() else dens
+    g = int(valuation(td, p))
+    found = []
+    for s in np.unique(vals).tolist():
+        if tn and s < g:
             continue
-        batch.append(f.evaluate(pt))
-        if len(batch) >= 65536:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+        m = p ** (r + s)
+        # products of two residues stay below m**2, inside int64 for m < 2**31
+        dtype = object if values.dtype == object or m >= _INT32_SAFE else np.int64
+        cls = dens[vals == s].astype(dtype)
+        inv = mod_inverse(td // p ** g, m)
+        want = (tn % m) * (cls // p ** g % m) % m * inv % m
+        residues, first = np.unique(nums.astype(dtype) % m, return_index=True)
+        pos = np.minimum(np.searchsorted(residues, want), residues.size - 1)
+        hits = np.flatnonzero(residues[pos] == want)
+        if hits.size:
+            # 2|D| + (D > 0) orders denominators by (|D|, D)
+            j = hits[np.argmin(2 * np.abs(cls[hits]) + (cls[hits] > 0))]
+            d = int(cls[j])
+            found.append((abs(d), d, int(nums[first[pos[j]]])))
+    if not found:
+        return None
+    _, d, n = min(found)
+    return n, d
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,7 +242,7 @@ def coverage(f, p: int, r: int, bound: int) -> CoverageReport:
     lo = 0
     for hi in _expanding_bounds(bound):
         done = False
-        for batch in _shell_batches(f, lo, hi):
+        for _, _, batch in _shell_batches(f, lo, hi):
             tracker.add_batch(batch)
             if tracker.full():
                 done = True
@@ -350,12 +356,3 @@ def cross_check(f, p: int, r: int, bound: int,
     return CrossCheckReport(format_form(f), int(p), r, bound, verdict.dense,
                             verdict.theorem_tag, expectation, not bad, bad,
                             report)
-
-
-def missing_csv(reports: Iterable[CoverageReport]) -> str:
-    """CSV dump of missing residue classes, one row per (p, r, bound, class)."""
-    lines = ["p,r,bound,missing_class"]
-    for rep in reports:
-        for cls in rep.missing:
-            lines.append(f"{rep.p},{rep.r},{rep.bound},{cls}")
-    return "\n".join(lines) + "\n"

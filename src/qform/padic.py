@@ -1,14 +1,12 @@
 """Exact p-adic arithmetic on integers and rationals.
 
-Valuations, Legendre symbols, unit parts, and the square-class structure of
-p-adic numbers. Everything runs on plain Python integers, so there is no
+Valuations, Legendre symbols, unit parts, and the p-adic square test. Everything runs on plain Python integers, so there is no
 overflow anywhere in the pipeline.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 INFINITY = math.inf
 
@@ -126,82 +124,3 @@ def is_square_in_qp(num: int, den: int, p: int) -> bool:
     if p == 2:
         return un * pow(ud, -1, 8) % 8 == 1
     return legendre(un * pow(ud, -1, p), p) == 1
-
-
-@dataclass(frozen=True, slots=True)
-class SquareClass:
-    """Square class of a nonzero p-adic number.
-
-    parity is the valuation mod 2. unit_class is the Legendre symbol of the
-    unit part for odd p, and the unit part mod 8 for p = 2. Two numbers lie in
-    the same class exactly when their quotient is a square.
-    """
-
-    prime: int
-    parity: int
-    unit_class: int
-
-
-def square_class(num: int, den: int, p: int) -> SquareClass:
-    """Square class of the nonzero rational num/den in the p-adic field."""
-    if den == 0:
-        raise ValueError("denominator is zero")
-    if num == 0:
-        raise ValueError("zero has no square class")
-    vn, un = split_unit(num, p)
-    vd, ud = split_unit(den, p)
-    parity = (vn - vd) % 2
-    if p == 2:
-        unit_class = un * pow(ud, -1, 8) % 8
-    else:
-        unit_class = legendre(un * pow(ud, -1, p), p)
-    return SquareClass(int(p), parity, unit_class)
-
-
-class PAdicValue:
-    """A rational viewed p-adically: valuation plus unit residues on demand.
-
-    Zero is carried with infinite valuation and no unit part. Instances are
-    never mutated after construction.
-    """
-
-    __slots__ = ("prime", "valuation", "_unit_num", "_unit_den")
-
-    def __init__(self, num: int, den: int, prime: int):
-        if den == 0:
-            raise ValueError("denominator is zero")
-        self.prime = prime
-        if num == 0:
-            self.valuation: int | float = INFINITY
-            self._unit_num = 0
-            self._unit_den = 1
-        else:
-            vn, un = split_unit(num, prime)
-            vd, ud = split_unit(den, prime)
-            self.valuation = vn - vd
-            self._unit_num = un
-            self._unit_den = ud
-
-    def is_zero(self) -> bool:
-        return self.valuation == INFINITY
-
-    def unit_residue(self, r: int) -> int:
-        """Unit part modulo prime**r; always coprime to the prime."""
-        if r < 1:
-            raise ValueError("precision must be at least 1")
-        if self.is_zero():
-            raise ValueError("zero has no unit part")
-        m = self.prime ** r
-        return self._unit_num * mod_inverse(self._unit_den, m) % m
-
-    def abs_value(self) -> float:
-        """The real number p**(-valuation)."""
-        if self.is_zero():
-            return 0.0
-        return float(self.prime) ** (-self.valuation)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return f"PAdicValue(0, p={self.prime})"
-        return (f"PAdicValue(p={self.prime}, val={self.valuation}, "
-                f"unit={self._unit_num}/{self._unit_den})")

@@ -3,7 +3,7 @@
 Dense side: a Witness is a pair of lattice points whose value quotient lands
 within p**-r of a requested target rational. Preferred route is lifting a
 representation of each target component to high precision (after stripping the
-discriminant's p-power if needed); bounded lattice enumeration is the fallback.
+discriminant's p-power if needed); rank >= 3 uses bounded lattice enumeration.
 
 Not-dense side: an ExclusionCertificate names a target rational and a radius
 exponent e such that the open ball of radius p**-e around the target contains
@@ -13,15 +13,17 @@ no quotient at all, and verifies that claim by exhaustive search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd
+
+import numpy as np
 
 from .decide import (LEAF_ANISOTROPIC, LEAF_ODD_K_ODD, LEAF_ODD_NONRESIDUE,
                      LEAF_TWO_K_ODD, decide, decide_binary_tree)
 from .errors import BudgetExceededError, InternalConsistencyError
-from .forms import (BinaryForm, GeneralForm, factor_discriminant,
+from .forms import (BinaryForm, GeneralForm, factor_discriminant, format_form,
                     is_isotropic_mod_p, is_singular_mod_p,
                     odd_singular_reduction, two_singular_reduction)
+from .oracle import _expanding_bounds, _point_at, _shell_batches, _value_pair
 from .padic import INFINITY, legendre, mod_inverse, valuation
 
 DEFAULT_BUDGET = 50
@@ -203,9 +205,9 @@ def approximate_quotient(f, p: int, target_num: int, target_den: int,
     """Witness that some value quotient lies within p**-r of the target.
 
     Only meaningful on dense verdicts; raises ValueError otherwise. Binary
-    targets go through lifting (stripping the discriminant's p-power first
-    when the form is singular mod p); other ranks and any structural surprise
-    fall back to bounded lattice enumeration.
+    and rank-2 forms go through lifting (stripping the discriminant's p-power
+    first when the form is singular mod p); rank >= 3 goes through bounded
+    lattice enumeration.
     """
     if r < 1:
         raise ValueError("precision must be at least 1")
@@ -215,16 +217,10 @@ def approximate_quotient(f, p: int, target_num: int, target_den: int,
         raise ValueError(
             f"quotients are not dense at p={p} ({verdict.theorem_tag}); "
             "no witness exists")
-    binary = None
     if isinstance(f, BinaryForm):
-        binary = f
-    elif f.rank == 2:
-        binary = f.to_binary()
-    if binary is not None:
-        try:
-            return _structured_witness(f, binary, p, tn, td, r)
-        except (ValueError, InternalConsistencyError):
-            pass
+        return _structured_witness(f, f, p, tn, td, r)
+    if f.rank == 2:
+        return _structured_witness(f, f.to_binary(), p, tn, td, r)
     return _enumeration_witness(f, p, tn, td, r, budget)
 
 
@@ -255,69 +251,36 @@ def _structured_witness(f, binary: BinaryForm, p: int, tn: int, td: int,
     return Witness.build(f, p, num_point, den_point, tn, td, r, "reduce-lift")
 
 
-def _box_schedule(limit: int):
-    b = 4
-    while b < limit:
-        yield b
-        b *= 2
-    yield limit
+def _first_point(f, value: int, bounds) -> tuple[int, ...]:
+    """First lattice point in enumeration order at which f takes value.
 
-
-def _extend_value_points(f, points: dict, lo: int, hi: int) -> None:
-    """Record the first lattice point (in scan order) for each new value."""
-    for pt in product(range(-hi, hi + 1), repeat=f.rank):
-        if max(abs(v) for v in pt) <= lo:
-            continue
-        val = f.evaluate(pt)
-        if val not in points:
-            points[val] = pt
-    if lo == 0:
-        zero = (0,) * f.rank
-        points.setdefault(f.evaluate(zero), zero)
-
-
-def _match_pair(points: dict, p: int, tn: int, td: int, r: int):
-    """First value pair (in deterministic order) approximating tn/td to p**-r.
-
-    For a denominator value d with s = val(d), the requirement on a numerator
-    value N is the single congruence N*td = tn*d mod p**(r + s + val(td)).
+    For value 0 that is the origin only when no other point of the first box
+    has value 0: f(-x) = f(x), and one of x, -x comes before the origin.
     """
-    g = int(valuation(td, p))
-    tdu = td // p ** g
-    ordered = sorted(points)
-    tables: dict[int, dict[int, int]] = {}
-    for d in sorted((v for v in points if v != 0), key=lambda v: (abs(v), v)):
-        m = p ** (r + int(valuation(d, p)))
-        rhs = tn * d
-        if rhs:
-            if valuation(rhs, p) < g:
-                continue
-            res = rhs // p ** g % m * mod_inverse(tdu % m, m) % m
-        else:
-            res = 0
-        table = tables.get(m)
-        if table is None:
-            table = {}
-            for v in ordered:
-                table.setdefault(v % m, v)
-            tables[m] = table
-        num = table.get(res)
-        if num is not None:
-            return points[num], points[d]
-    return None
+    lo = 0
+    for hi in bounds:
+        for prefix, keep, vals in _shell_batches(f, lo, hi):
+            hits = np.flatnonzero(vals == value)
+            if hits.size:
+                return _point_at(f, hi, prefix, keep, int(hits[0]))
+        lo = hi
+    raise InternalConsistencyError(f"value {value} not found in the box")
 
 
 def _enumeration_witness(f, p: int, tn: int, td: int, r: int,
                          budget: int | None) -> Witness:
     limit = DEFAULT_BUDGET if budget is None else budget
-    points: dict[int, tuple[int, ...]] = {}
+    bounds = list(_expanding_bounds(max(limit, 1)))
+    values = np.zeros(0, dtype=np.int64)
     lo = 0
-    for hi in _box_schedule(max(limit, 1)):
-        _extend_value_points(f, points, lo, hi)
+    for hi in bounds:
+        for _, _, batch in _shell_batches(f, lo, hi):
+            values = np.union1d(values, batch)
         lo = hi
-        pair = _match_pair(points, p, tn, td, r)
+        pair = _value_pair(values, p, tn, td, r)
         if pair is not None:
-            return Witness.build(f, p, pair[0], pair[1], tn, td, r, "enumeration")
+            num, den = (_first_point(f, v, bounds) for v in pair)
+            return Witness.build(f, p, num, den, tn, td, r, "enumeration")
     raise BudgetExceededError(
         f"no witness found with coordinates up to {limit}", limit)
 
@@ -363,30 +326,12 @@ def exclusion_certificate(f: BinaryForm, p: int,
     else:
         target, radius = 3, 3
         why = "ell = 3 or 7 mod 8 keeps quotients away from 3 mod 16"
-    _verify_exclusion(f, p, target, radius, verify_bound)
+    # a binary form's box is a single batch
+    _, _, values = next(_shell_batches(f, 0, verify_bound))
+    pair = _value_pair(values, p, target, 1, radius + 1)
+    if pair is not None:
+        raise InternalConsistencyError(
+            f"exclusion certificate refuted: form {format_form(f)}, p={p}, "
+            f"target {target}, radius {radius}, bound {verify_bound}: "
+            f"quotient N/D = {pair[0]}/{pair[1]} enters the ball")
     return ExclusionCertificate(target, 1, radius, f"{tag}: {why}")
-
-
-def _verify_exclusion(f: BinaryForm, p: int, target: int, radius: int,
-                      bound: int) -> None:
-    """Exhaustively confirm no quotient enters the open ball around the target.
-
-    A violating pair would satisfy N = target*D mod p**(s + radius + 1) with
-    s = val(D), so it suffices to compare residue tables per valuation class.
-    """
-    values = set()
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            values.add(f.evaluate((x, y)))
-    by_valuation: dict[int, list[int]] = {}
-    for v in values:
-        if v:
-            by_valuation.setdefault(int(valuation(v, p)), []).append(v)
-    for s, dens in sorted(by_valuation.items()):
-        m = p ** (s + radius + 1)
-        residues = {v % m for v in values}
-        for d in dens:
-            if target * d % m in residues:
-                raise InternalConsistencyError(
-                    f"exclusion certificate refuted: a quotient approaches "
-                    f"{target} closer than p**-{radius} (denominator value {d})")

@@ -83,6 +83,26 @@ def test_witness_not_dense_gives_certificate(capsys):
     assert cert["radius_exp"] == 1
 
 
+def test_negative_form_value(capsys):
+    payload = run_json(capsys, "witness", "--form", "-11,11,-4", "--prime", "3")
+    assert payload["form"] == "-11,11,-4"
+    assert payload["dense"] is False
+    payload = run_json(capsys, "decide", "--rank", "3",
+                       "--coeffs", "-1,0,0,1,0,1", "--prime", "7")
+    assert payload["form"] == "3; -1,0,0,1,0,1"
+
+
+def test_negative_target_value(capsys):
+    payload = run_json(capsys, "witness", "--form", "1,0,1", "--prime", "5",
+                       "--target", "-51/5", "--r", "2")
+    w = payload["witness"]
+    assert w["target"] == "-51/5"
+    diff = (Fraction(w["x"] ** 2 + w["y"] ** 2, w["z"] ** 2 + w["w"] ** 2)
+            - Fraction(-51, 5))
+    assert diff == 0 or valuation_rational(diff.numerator, diff.denominator,
+                                           5) >= 2
+
+
 def test_witness_needs_target_when_dense(capsys):
     code, _, err = run(capsys, "witness", "--form", "1,0,1", "--prime", "5")
     assert code == 1
@@ -177,6 +197,9 @@ def test_usage_error_names_the_problem(capsys):
     assert "nonsingular" in err or "singular" in err
     code, _, err = run(capsys, "decide", "--form", "1,0,1", "--prime", "6")
     assert "prime" in err
+    # a missing value is reported, not filled with the next option
+    code, _, err = run(capsys, "witness", "--form", "--prime", "5")
+    assert code == 1 and "--form" in err
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

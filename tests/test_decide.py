@@ -1,16 +1,21 @@
+import importlib
 import random
 from itertools import product
 from math import gcd
+
+import pytest
 
 from qform import (ALL_TREE_LEAVES, LEAF_ANISOTROPIC, LEAF_NONSINGULAR,
                    LEAF_ODD_K_ODD, LEAF_ODD_NONRESIDUE, LEAF_ODD_RESIDUE,
                    LEAF_TWO_K_ODD, LEAF_TWO_UNIT_NONSQUARE,
                    LEAF_TWO_UNIT_SQUARE, TAG_RANK_HIGH, TAG_RANK_ONE,
-                   TAG_SQUARE_CLASS, BinaryForm, GeneralForm, Prime,
-                   change_variables, decide, decide_binary_squareclass,
-                   decide_binary_tree, decide_checked, decide_general,
-                   is_square_in_qp)
+                   TAG_SQUARE_CLASS, BinaryForm, GeneralForm,
+                   InternalConsistencyError, Prime, change_variables, decide,
+                   decide_binary_squareclass, decide_binary_tree,
+                   decide_checked, decide_general, is_square_in_qp)
 
+# the package re-exports the function decide, which hides the module attribute
+decide_mod = importlib.import_module("qform.decide")
 rng = random.Random(0xdec1de)
 
 PRIMES_TO_30 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -147,3 +152,16 @@ def test_decide_general_matches_decide():
     g = GeneralForm(4, (1, 0, 0, 0, 1, 0, 0, 1, 0, 1))
     v = decide_general(g, 3)
     assert v.dense and v.theorem_tag == TAG_RANK_HIGH
+
+
+def test_decide_general_rank_two_cross_checks(monkeypatch):
+    def flipped(f, p):
+        tree = decide_binary_tree(f, p)
+        return decide_mod.Verdict(not tree.dense, tree.path, TAG_SQUARE_CLASS,
+                                  tree.factorization)
+
+    monkeypatch.setattr(decide_mod, "decide_binary_squareclass", flipped)
+    g = GeneralForm(2, (1, 0, 1))
+    for entry in (decide_general, decide):
+        with pytest.raises(InternalConsistencyError, match="disagree"):
+            entry(g, Prime(5))

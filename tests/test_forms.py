@@ -7,8 +7,8 @@ import pytest
 from qform import (BinaryForm, GeneralForm, InvalidFormError, arnold_compose,
                    change_variables, factor_discriminant, format_form,
                    is_isotropic_mod_p, is_singular_mod_p, legendre,
-                   odd_singular_reduction, parse_form, reduce_odd_singular,
-                   reduce_two_singular, two_singular_reduction, valuation)
+                   odd_singular_reduction, parse_form, two_singular_reduction,
+                   valuation)
 
 rng = random.Random(0xf0e)
 
@@ -144,7 +144,6 @@ def test_odd_singular_reduction_example():
     assert (red.reduced.a, red.reduced.b, red.reduced.c) == (1, 0, -1)
     assert red.k == 2
     assert red.reduced.discriminant() == 4
-    assert reduce_odd_singular(BinaryForm(1, 0, -9), 3, 2) == red.reduced
 
 
 def random_odd_singular(p):
@@ -180,8 +179,6 @@ def test_odd_singular_reduction_rejects():
         odd_singular_reduction(BinaryForm(1, 0, -3), 3)     # k = 1 odd
     with pytest.raises(ValueError):
         odd_singular_reduction(BinaryForm(1, 0, -4), 2)     # p = 2
-    with pytest.raises(ValueError):
-        reduce_odd_singular(BinaryForm(1, 0, -9), 3, 4)     # wrong k
 
 
 def test_two_singular_reduction_example():
@@ -189,7 +186,6 @@ def test_two_singular_reduction_example():
     assert (red.reduced.a, red.reduced.b, red.reduced.c) == (1, 1, 0)
     assert red.k == 4
     assert red.reduced.discriminant() == 1
-    assert reduce_two_singular(BinaryForm(1, 0, -4), 4) == red.reduced
 
 
 def random_two_singular():

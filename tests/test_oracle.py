@@ -5,8 +5,8 @@ from math import gcd
 import pytest
 
 from qform import (BinaryForm, GeneralForm, Prime, coverage, cross_check,
-                   decide, excluded_classes, missing_csv, valuation)
-from qform.oracle import _ResidueTracker
+                   decide, excluded_classes, valuation)
+from qform.oracle import _ResidueTracker, _point_at, _shell_batches
 
 rng = random.Random(0x0c1e)
 
@@ -43,6 +43,9 @@ def test_coverage_matches_bruteforce():
         ((1, 0, -9), 3, 2, 10),
         ((-1, 0, 2), 5, 1, 8),
         ((3, 2, 5), 7, 1, 9),
+        # box values past 2**62: enumeration runs on exact object arrays
+        ((2**61 + 1, 3, 5), 3, 2, 6),
+        ((7, 2**62 - 1, -(2**40)), 2, 3, 5),
     ]
     for coeffs, p, r, bound in cases:
         f = BinaryForm(*coeffs)
@@ -53,9 +56,26 @@ def test_coverage_matches_bruteforce():
 
 
 def test_coverage_matches_bruteforce_rank3():
-    g = GeneralForm(3, (1, 0, 0, 1, 0, 1))
-    rep = coverage(g, Prime(2), 3, 3)
-    assert rep.covered == quotient_residues_bruteforce(g, 2, 3, 3)
+    for coeffs in ((1, 0, 0, 1, 0, 1), (2**62 + 3, 1, 0, 5, 0, 7)):
+        g = GeneralForm(3, coeffs)
+        rep = coverage(g, Prime(2), 3, 3)
+        assert rep.covered == quotient_residues_bruteforce(g, 2, 3, 3)
+
+
+def test_shell_batches_follow_product_order():
+    forms = (GeneralForm(1, (-1,)), BinaryForm(2, 1, -3),
+             GeneralForm(3, (1, 2, 0, -1, 1, 3)), BinaryForm(2**62, 1, 1))
+    for f in forms:
+        for lo, hi in ((0, 2), (2, 3)):
+            want = [pt for pt in product(range(-hi, hi + 1), repeat=f.rank)
+                    if lo == 0 or max(map(abs, pt)) > lo]
+            points, values = [], []
+            for prefix, keep, vals in _shell_batches(f, lo, hi):
+                points += [_point_at(f, hi, prefix, keep, i)
+                           for i in range(len(vals))]
+                values += vals.tolist()
+            assert points == want, (f, lo, hi)
+            assert values == [f.evaluate(pt) for pt in want], (f, lo, hi)
 
 
 def test_coverage_examples():
@@ -197,10 +217,3 @@ def test_cross_check_json():
     assert d["form"] == "1,0,1"
     assert d["passed"] is True
     assert d["coverage"]["p"] == 3
-
-
-def test_missing_csv():
-    reps = [coverage(BinaryForm(1, 0, 1), Prime(3), 2, 90)]
-    text = missing_csv(reps)
-    assert text.splitlines() == ["p,r,bound,missing_class", "3,2,90,3",
-                                 "3,2,90,6"]

@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from qform import (INFINITY, PAdicValue, Prime, SquareClass, is_prime,
-                   is_square_in_qp, legendre, mod_inverse, split_unit,
-                   square_class, valuation, valuation_rational)
+from qform import (INFINITY, Prime, is_prime, is_square_in_qp, legendre,
+                   mod_inverse, split_unit, valuation, valuation_rational)
 
 rng = random.Random(0x5eed)
 
@@ -161,51 +160,3 @@ def test_is_square_in_qp_examples():
     assert is_square_in_qp(2, 1, 7)
     assert is_square_in_qp(7, 28, 7)
     assert not is_square_in_qp(1, 3, 7)
-
-
-def test_square_class_counts():
-    # every nonzero value lands in one of finitely many classes:
-    # 4 for odd p, 8 for p = 2
-    for p in (3, 5, 7):
-        classes = {square_class(n, 1, p) for n in range(1, p**4)}
-        assert len(classes) == 4
-    classes2 = {square_class(n, 1, 2) for n in range(1, 16)}
-    assert len(classes2) == 8
-
-
-def test_square_class_invariants():
-    for _ in range(300):
-        p = rng.choice(PRIMES)
-        n = rng.randint(1, 5000)
-        t = rng.randint(1, 60)
-        assert square_class(n, 1, p) == square_class(n * t * t, 1, p)
-        cls = square_class(n, 1, p)
-        assert isinstance(cls, SquareClass)
-        assert cls.parity == valuation(n, p) % 2
-    with pytest.raises(ValueError):
-        square_class(0, 1, 5)
-    with pytest.raises(ValueError):
-        square_class(3, 0, 5)
-
-
-def test_square_class_square_detection():
-    for p in (2, 3, 5, 7, 11):
-        for num in range(1, 60):
-            for den in (1, 3, p):
-                cls = square_class(num, den, p)
-                trivial = cls.parity == 0 and cls.unit_class == 1
-                assert trivial == is_square_in_qp(num, den, p)
-
-
-def test_padic_value():
-    x = PAdicValue(250, 3, Prime(5))    # 250/3 = 2 * 5^3 / 3
-    assert x.valuation == 3
-    assert not x.is_zero()
-    assert x.abs_value() == 5.0**-3
-    # unit part 2/3 = 2 * inverse(3) mod 25 = 2 * 17 = 34 = 9
-    assert x.unit_residue(2) == 9
-
-    z = PAdicValue(0, 1, Prime(5))
-    assert z.is_zero()
-    assert z.valuation == INFINITY
-    assert z.abs_value() == 0.0

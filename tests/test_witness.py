@@ -5,11 +5,12 @@ from math import gcd, inf
 
 import pytest
 
-from qform import (BinaryForm, BudgetExceededError, GeneralForm, Prime,
-                   approximate_quotient, decide, exclusion_certificate,
-                   least_nonresidue, lift_representation,
-                   lift_representation_two, quotient_error_valuation,
-                   valuation_rational)
+import qform.witness as witness_mod
+from qform import (BinaryForm, BudgetExceededError, GeneralForm,
+                   InternalConsistencyError, Prime, approximate_quotient,
+                   decide, exclusion_certificate, least_nonresidue,
+                   lift_representation, lift_representation_two,
+                   quotient_error_valuation, valuation_rational)
 
 rng = random.Random(0x817)
 
@@ -178,6 +179,42 @@ def test_approximate_quotient_rank_three():
     assert d["x"] == list(w.num_point)
     assert d["z"] == list(w.den_point)
 
+    # values past int64 take the exact object-array path
+    h = GeneralForm(3, (2**62 + 3, 1, 0, 5, 0, 7))
+    w2 = approximate_quotient(h, Prime(3), 2, 5, 2, budget=8)
+    assert w2.strategy == "enumeration"
+    assert_witness_hits(h, 3, w2, 2, 5, 2)
+
+
+def test_enumeration_witness_points_are_pinned():
+    # denominators by (|D|, D), least numerator, first point of each value in
+    # itertools.product order; the origin stands for 0 only when no other
+    # point of the first box is isotropic
+    sphere = GeneralForm(3, (1, 0, 0, 1, 0, 1))
+    cone = GeneralForm(3, (1, 0, 0, 1, 0, -1))
+    cases = [
+        (sphere, 2, 7, 1, 3, (-3, -2, -1), (-1, -1, 0)),
+        (cone, 3, 1, 9, 2, (-2, -2, -3), (0, 0, -3)),
+        (cone, 2, 5, 4, 3, (-2, 0, -3), (-2, -1, -3)),
+        (cone, 3, 0, 1, 5, (-4, 0, -4), (-2, -2, -3)),
+        (sphere, 3, 0, 1, 5, (0, 0, 0), (-1, 0, 0)),
+    ]
+    for g, p, tn, td, r, num, den in cases:
+        w = approximate_quotient(g, Prime(p), tn, td, r)
+        assert (w.num_point, w.den_point) == (num, den), (g.coeffs, p, tn, td)
+
+
+def test_approximate_quotient_lift_errors_propagate(monkeypatch):
+    # a failed lift on a dense binary form is a bug, never a reason to enumerate
+    def broken(*args):
+        raise InternalConsistencyError("forced for the test")
+
+    monkeypatch.setattr(witness_mod, "lift_representation", broken)
+    with pytest.raises(InternalConsistencyError, match="forced"):
+        approximate_quotient(BinaryForm(1, 0, 1), Prime(5), 2, 1, 3)
+    with pytest.raises(InternalConsistencyError, match="forced"):
+        approximate_quotient(GeneralForm(2, (1, 0, 1)), Prime(5), 2, 1, 3)
+
 
 def test_approximate_quotient_rejects_not_dense():
     with pytest.raises(ValueError):
@@ -260,6 +297,18 @@ def test_exclusion_certificate_random():
         count += 1
         cert = exclusion_certificate(f, p, verify_bound=20)
         certificate_holds_bruteforce(f, p, cert, 15)
+
+
+def test_exclusion_certificate_refuted(monkeypatch):
+    # plant a false claim: 1 is a square, so quotients come within 3**-1 of it;
+    # the first denominator is 1 and the least numerator 1 mod 9 is -71
+    monkeypatch.setattr(witness_mod, "least_nonresidue", lambda p: 1)
+    with pytest.raises(InternalConsistencyError) as info:
+        exclusion_certificate(BinaryForm(1, 0, -3), Prime(3), verify_bound=5)
+    message = str(info.value)
+    for part in ("1,0,-3", "p=3", "target 1", "radius 1", "bound 5",
+                 "N/D = -71/1"):
+        assert part in message, part
 
 
 def test_exclusion_certificate_rejects_dense():
