@@ -15,13 +15,11 @@ from .decide import (ALL_TREE_LEAVES, LEAF_ANISOTROPIC, LEAF_NONSINGULAR,
                      decide_checked, decide_general)
 from .errors import BudgetExceededError, InternalConsistencyError
 from .forms import (BinaryForm, DiscFactorization, GeneralForm,
-                    InvalidFormError, OddSingularReduction,
-                    TwoSingularReduction, arnold_compose, change_variables,
-                    factor_discriminant, format_form, is_isotropic_mod_p,
-                    is_singular_mod_p, odd_singular_reduction, parse_form,
-                    two_singular_reduction)
-from .oracle import (DEFAULT_SCHEDULE, CoverageReport, CoverageSchedule,
-                     CrossCheckReport, coverage, cross_check,
+                    InvalidFormError, SingularReduction, arnold_compose,
+                    change_variables, factor_discriminant, format_form,
+                    is_isotropic_mod_p, is_singular_mod_p,
+                    odd_singular_reduction, parse_form, two_singular_reduction)
+from .oracle import (CoverageReport, CrossCheckReport, coverage, cross_check,
                      excluded_classes)
 from .padic import (INFINITY, Prime, is_prime, is_square_in_qp, legendre,
                     mod_inverse, split_unit, valuation, valuation_rational)
@@ -34,14 +32,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_TREE_LEAVES", "BinaryForm", "BudgetExceededError", "CoverageReport",
-    "CoverageSchedule", "CrossCheckReport", "DEFAULT_BUDGET",
-    "DEFAULT_SCHEDULE", "DiscFactorization", "ExclusionCertificate",
-    "GeneralForm", "INFINITY", "InternalConsistencyError", "InvalidFormError",
-    "LEAF_ANISOTROPIC", "LEAF_NONSINGULAR", "LEAF_ODD_K_ODD",
-    "LEAF_ODD_NONRESIDUE", "LEAF_ODD_RESIDUE", "LEAF_TWO_K_ODD",
-    "LEAF_TWO_UNIT_NONSQUARE", "LEAF_TWO_UNIT_SQUARE", "OddSingularReduction",
-    "PathNode", "Prime", "TAG_RANK_HIGH", "TAG_RANK_ONE", "TAG_SQUARE_CLASS",
-    "TwoSingularReduction", "Verdict", "Witness", "approximate_quotient",
+    "CrossCheckReport", "DEFAULT_BUDGET", "DiscFactorization",
+    "ExclusionCertificate", "GeneralForm", "INFINITY",
+    "InternalConsistencyError", "InvalidFormError", "LEAF_ANISOTROPIC",
+    "LEAF_NONSINGULAR", "LEAF_ODD_K_ODD", "LEAF_ODD_NONRESIDUE",
+    "LEAF_ODD_RESIDUE", "LEAF_TWO_K_ODD", "LEAF_TWO_UNIT_NONSQUARE",
+    "LEAF_TWO_UNIT_SQUARE", "PathNode", "Prime", "SingularReduction",
+    "TAG_RANK_HIGH", "TAG_RANK_ONE", "TAG_SQUARE_CLASS", "Verdict", "Witness",
+    "approximate_quotient",
     "arnold_compose", "change_variables", "coverage", "cross_check", "decide",
     "decide_binary_squareclass", "decide_binary_tree", "decide_checked",
     "decide_general", "excluded_classes", "exclusion_certificate",

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .decide import decide
 from .errors import BudgetExceededError, InternalConsistencyError
 from .forms import BinaryForm, GeneralForm, InvalidFormError, format_form, parse_form
-from .oracle import coverage, cross_check
+from .oracle import COVERAGE_BOUND_FACTOR, coverage, cross_check
 from .padic import Prime
 from .witness import DEFAULT_BUDGET, approximate_quotient, exclusion_certificate
 
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain = sub.add_parser("explain",
                                help="decision path as question/answer lines")
     _add_form_arguments(p_explain)
-    p_explain.set_defaults(func=_cmd_explain)
+    p_explain.set_defaults(func=_cmd_decide)
 
     p_witness = sub.add_parser(
         "witness",
@@ -136,34 +136,34 @@ def _emit(args, payload: dict, plain: str) -> None:
         print(json.dumps(payload, indent=2))
 
 
+def _emit_record(args, head: dict, key: str, record: dict) -> None:
+    """JSON of head with record under key; plain text is one "key: value"
+    line per field of record."""
+    _emit(args, {**head, key: record},
+          "\n".join(f"{name}: {value}" for name, value in record.items()))
+
+
 def _cmd_decide(args) -> int:
+    """decide and explain: the same JSON, different plain text."""
     f = _form_from_args(args)
     p = _prime_from_args(args)
     verdict = decide(f, p)
-    payload = {"form": format_form(f), "prime": int(p),
-               "verdict": verdict.to_json_dict()}
-    lines = [f"form:    {format_form(f)}",
-             f"prime:   {int(p)}",
-             f"dense:   {'yes' if verdict.dense else 'no'}",
-             f"leaf:    {verdict.theorem_tag}"]
-    if verdict.factorization is not None:
-        lines.append(f"k, ell:  {verdict.factorization.k}, "
-                     f"{verdict.factorization.ell}")
-    _emit(args, payload, "\n".join(lines))
-    return 0
-
-
-def _cmd_explain(args) -> int:
-    f = _form_from_args(args)
-    p = _prime_from_args(args)
-    verdict = decide(f, p)
-    lines = [f"{format_form(f)} at p = {int(p)}"]
-    for depth, node in enumerate(verdict.path):
-        pad = "  " * (depth + 1)
-        if node.question == "conclusion":
-            lines.append(f"{pad}=> {node.answer}  [{node.node}]")
-        else:
-            lines.append(f"{pad}{node.question}  {node.answer}")
+    if args.command == "explain":
+        lines = [f"{format_form(f)} at p = {int(p)}"]
+        for depth, node in enumerate(verdict.path):
+            pad = "  " * (depth + 1)
+            if node.question == "conclusion":
+                lines.append(f"{pad}=> {node.answer}  [{node.node}]")
+            else:
+                lines.append(f"{pad}{node.question}  {node.answer}")
+    else:
+        lines = [f"form:    {format_form(f)}",
+                 f"prime:   {int(p)}",
+                 f"dense:   {'yes' if verdict.dense else 'no'}",
+                 f"leaf:    {verdict.theorem_tag}"]
+        if verdict.factorization is not None:
+            lines.append(f"k, ell:  {verdict.factorization.k}, "
+                         f"{verdict.factorization.ell}")
     payload = {"form": format_form(f), "prime": int(p),
                "verdict": verdict.to_json_dict()}
     _emit(args, payload, "\n".join(lines))
@@ -193,32 +193,27 @@ def _cmd_witness(args) -> int:
     p = _prime_from_args(args)
     if args.r < 1:
         raise UsageError("--r must be at least 1")
+    if args.bound is not None and args.bound < 1:
+        raise UsageError("--bound must be at least 1")
     verdict = decide(f, p)
     if verdict.dense:
         if args.target is None:
             raise UsageError("the quotient set is dense; give a --target "
                              "to approximate")
         target = _parse_target(args.target)
-        w = approximate_quotient(f, p, target.numerator, target.denominator,
-                                 args.r, budget=_witness_budget(args))
-        payload = {"form": format_form(f), "prime": int(p), "dense": True,
-                   "witness": w.to_json_dict()}
-        wd = w.to_json_dict()
-        plain = "\n".join(f"{key}: {value}" for key, value in wd.items())
-        _emit(args, payload, plain)
-        return 0
-    if not isinstance(f, BinaryForm) and f.rank != 2:
-        raise UsageError("exclusion certificates are built for binary forms; "
-                         "this form is not dense but has rank "
-                         f"{f.rank}")
-    binary = f if isinstance(f, BinaryForm) else f.to_binary()
-    cert = exclusion_certificate(
-        binary, p, verify_bound=args.bound if args.bound is not None else 50)
-    payload = {"form": format_form(f), "prime": int(p), "dense": False,
-               "certificate": cert.to_json_dict()}
-    cd = cert.to_json_dict()
-    plain = "\n".join(f"{key}: {value}" for key, value in cd.items())
-    _emit(args, payload, plain)
+        key, evidence = "witness", approximate_quotient(
+            f, p, target.numerator, target.denominator, args.r,
+            budget=_witness_budget(args))
+    else:
+        if not isinstance(f, BinaryForm) and f.rank != 2:
+            raise UsageError("exclusion certificates are built for binary "
+                             "forms; this form is not dense but has rank "
+                             f"{f.rank}")
+        binary = f if isinstance(f, BinaryForm) else f.to_binary()
+        key, evidence = "certificate", exclusion_certificate(
+            binary, p, verify_bound=args.bound if args.bound is not None else 50)
+    _emit_record(args, {"form": format_form(f), "prime": int(p),
+                        "dense": verdict.dense}, key, evidence.to_json_dict())
     return 0
 
 
@@ -227,15 +222,13 @@ def _cmd_oracle(args) -> int:
     p = _prime_from_args(args)
     if args.r < 1:
         raise UsageError("--r must be at least 1")
-    bound = args.bound if args.bound is not None else 10 * int(p) ** args.r
+    bound = args.bound if args.bound is not None \
+        else COVERAGE_BOUND_FACTOR * int(p) ** args.r
     if bound < 1:
         raise UsageError("--bound must be at least 1")
     report = coverage(f, p, args.r, bound)
-    payload = {"form": format_form(f), "prime": int(p),
-               "report": report.to_json_dict()}
-    rd = report.to_json_dict()
-    plain = "\n".join(f"{key}: {value}" for key, value in rd.items())
-    _emit(args, payload, plain)
+    _emit_record(args, {"form": format_form(f), "prime": int(p)}, "report",
+                 report.to_json_dict())
     return 0
 
 
@@ -271,7 +264,8 @@ def _cmd_sweep(args) -> int:
         if not line:
             continue
         f, p = _parse_sweep_line(line, lineno)
-        bound = args.bound if args.bound is not None else 10 * int(p) ** args.r
+        bound = args.bound if args.bound is not None \
+            else COVERAGE_BOUND_FACTOR * int(p) ** args.r
         report = cross_check(f, p, args.r, bound)
         results.append(report)
         all_passed = all_passed and report.passed

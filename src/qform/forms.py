@@ -181,120 +181,92 @@ def is_singular_mod_p(f: BinaryForm, p: int) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class OddSingularReduction:
-    """Outcome of stripping an even power of an odd p from the discriminant.
+class SingularReduction:
+    """Outcome of stripping an even power p**k from the discriminant.
 
-    reduced has discriminant ell. pull_back sends a reduced-form point to an
-    original-form point whose value is p**k times the reduced value, so value
-    quotients are preserved exactly.
+    f(matrix . x) = p**k * reduced(x) and reduced has discriminant
+    ell = disc / p**k, so pull_back sends a reduced-form point to an
+    original-form point and preserves value quotients exactly.
     """
 
-    original: BinaryForm
     reduced: BinaryForm
-    p: int
     k: int
-    u: int
-    swapped: bool
+    matrix: tuple[tuple[int, int], tuple[int, int]]
 
     def pull_back(self, point) -> tuple[int, int]:
         x, y = point
-        big_x = self.p ** (self.k // 2) * x
-        px, py = -big_x - self.u * y, y
-        return (py, px) if self.swapped else (px, py)
+        (m11, m12), (m21, m22) = self.matrix
+        return m11 * x + m12 * y, m21 * x + m22 * y
 
 
-def odd_singular_reduction(f: BinaryForm, p: int) -> OddSingularReduction:
+def _even_factorization(f: BinaryForm, p: int) -> DiscFactorization:
+    fact = factor_discriminant(f, p)
+    if fact.k < 2 or fact.k % 2:
+        raise ValueError(
+            f"discriminant valuation must be even and at least 2, got k={fact.k}")
+    return fact
+
+
+def _outer_unit(f: BinaryForm, p: int) -> tuple[int, bool]:
+    """The outer coefficient prime to p, a if it is one, and whether it is c."""
+    if f.a % p:
+        return f.a, False
+    if f.c % p == 0:
+        raise InternalConsistencyError(
+            f"{p} divides both outer coefficients of a primitive form")
+    return f.c, True
+
+
+def _reduce(f: BinaryForm, fact: DiscFactorization, top,
+            swapped: bool) -> SingularReduction:
+    """Compose f with the matrix of rows top and (0, 1), exchanged when
+    swapped, and divide p**k out of every coefficient."""
+    matrix = ((0, 1), top) if swapped else (top, (0, 1))
+    pk = fact.p ** fact.k
+    coeffs = _compose(f, matrix)
+    if any(v % pk for v in coeffs):
+        raise InternalConsistencyError("reduction divisions are not exact")
+    reduced = BinaryForm(*(v // pk for v in coeffs))
+    if reduced.discriminant() != fact.ell:
+        raise InternalConsistencyError(
+            f"reduced discriminant {reduced.discriminant()} != {fact.ell}")
+    return SingularReduction(reduced, fact.k, matrix)
+
+
+def odd_singular_reduction(f: BinaryForm, p: int) -> SingularReduction:
     """Reduce f at an odd prime whose discriminant valuation k is even, >= 2.
 
-    Translating x by the least nonnegative u with 2au = b mod p**k makes the
-    middle and last coefficients divisible by p**(k/2) and p**k; dividing them
+    Substituting x -> -p**(k/2) x - u y (into y when p divides a), for the
+    least nonnegative u with 2au = b mod p**k with a the unit, makes the coefficients divisible by p**k; dividing them
     out leaves a form of discriminant ell = disc / p**k.
     """
     if p == 2:
         raise ValueError("reduction requires an odd prime")
-    fact = factor_discriminant(f, p)
-    k, ell = fact.k, fact.ell
-    if k < 2 or k % 2:
-        raise ValueError(
-            f"discriminant valuation must be even and at least 2, got k={k}")
-    a, b, c = f.a, f.b, f.c
-    swapped = a % p == 0
-    if swapped:
-        a, c = c, a
-        if a % p == 0:
-            raise InternalConsistencyError(
-                "p divides both outer coefficients of a primitive form")
-    pk = p ** k
-    half = p ** (k // 2)
-    u = b * mod_inverse(2 * a, pk) % pk
-    mid = 2 * u * a - b
-    last = u * u * a - u * b + c
-    if mid % half or last % pk:
-        raise InternalConsistencyError("reduction divisions are not exact")
-    reduced = BinaryForm(a, mid // half, last // pk)
-    if reduced.discriminant() != ell:
-        raise InternalConsistencyError(
-            f"reduced discriminant {reduced.discriminant()} != {ell}")
-    return OddSingularReduction(f, reduced, int(p), k, u, swapped)
+    fact = _even_factorization(f, p)
+    a, swapped = _outer_unit(f, p)
+    pk = p ** fact.k
+    u = f.b * mod_inverse(2 * a, pk) % pk
+    return _reduce(f, fact, (-p ** (fact.k // 2), -u), swapped)
 
 
-@dataclass(frozen=True, slots=True)
-class TwoSingularReduction:
-    """Outcome of stripping an even power of 2 when ell = 1 mod 8.
-
-    Same contract as the odd case: pull_back scales values by 2**k and so
-    preserves value quotients exactly.
-    """
-
-    original: BinaryForm
-    reduced: BinaryForm
-    k: int
-    q: int
-    swapped: bool
-
-    def pull_back(self, point) -> tuple[int, int]:
-        x, y = point
-        big_x = 2 ** (self.k // 2) * x
-        px, py = big_x + self.q * y, y
-        return (py, px) if self.swapped else (px, py)
-
-
-def two_singular_reduction(f: BinaryForm) -> TwoSingularReduction:
+def two_singular_reduction(f: BinaryForm) -> SingularReduction:
     """Reduce f at 2 when the discriminant valuation k is even and ell = 1 mod 8.
 
     b is even as soon as 2 divides the discriminant, and primitivity then makes
-    one of a, c odd. Translating x by q = -b/(2a) + 2**(k/2-1) mod 2**k lets
-    2**(k/2) and 2**k be divided out of the last two coefficients; ell = 1 mod 8
-    is what makes the second division exact.
+    one of a, c odd. Substituting x -> 2**(k/2) x + q y (into y when a is
+    even), for q = -b/(2a) + 2**(k/2-1) mod 2**k, makes the coefficients divisible by
+    2**k; ell = 1 mod 8 is what makes the last division exact.
     """
-    fact = factor_discriminant(f, 2)
-    k, ell = fact.k, fact.ell
-    if k < 2 or k % 2:
-        raise ValueError(
-            f"discriminant valuation must be even and at least 2, got k={k}")
-    if ell % 8 != 1:
-        raise ValueError(f"unit cofactor must be 1 mod 8, got {ell % 8}")
-    a, b, c = f.a, f.b, f.c
-    if b % 2:
+    fact = _even_factorization(f, 2)
+    if fact.ell % 8 != 1:
+        raise ValueError(f"unit cofactor must be 1 mod 8, got {fact.ell % 8}")
+    if f.b % 2:
         raise InternalConsistencyError("even discriminant forces an even middle coefficient")
-    swapped = a % 2 == 0
-    if swapped:
-        a, c = c, a
-        if a % 2 == 0:
-            raise InternalConsistencyError(
-                "2 divides both outer coefficients of a primitive form")
-    pk = 2 ** k
-    half = 2 ** (k // 2)
-    q = (-(b // 2) * mod_inverse(a, pk) + half // 2) % pk
-    mid = 2 * a * q + b
-    last = a * q * q + b * q + c
-    if mid % half or last % pk:
-        raise InternalConsistencyError("reduction divisions are not exact")
-    reduced = BinaryForm(a, mid // half, last // pk)
-    if reduced.discriminant() != ell:
-        raise InternalConsistencyError(
-            f"reduced discriminant {reduced.discriminant()} != {ell}")
-    return TwoSingularReduction(f, reduced, k, q, swapped)
+    a, swapped = _outer_unit(f, 2)
+    pk = 2 ** fact.k
+    half = 2 ** (fact.k // 2)
+    q = (-(f.b // 2) * mod_inverse(a, pk) + half // 2) % pk
+    return _reduce(f, fact, (half, q), swapped)
 
 
 def arnold_compose(f: BinaryForm, p1, p2, p3) -> tuple[int, int]:
@@ -313,17 +285,22 @@ def arnold_compose(f: BinaryForm, p1, p2, p3) -> tuple[int, int]:
     return x, y
 
 
-def change_variables(f: BinaryForm, m) -> BinaryForm:
-    """The form f(m11 x + m12 y, m21 x + m22 y).
-
-    For unimodular m this keeps the value set and the discriminant.
-    """
+def _compose(f: BinaryForm, m) -> tuple[int, int, int]:
+    """Coefficients of f(m11 x + m12 y, m21 x + m22 y)."""
     (m11, m12), (m21, m22) = m
     a2 = f.evaluate((m11, m21))
     c2 = f.evaluate((m12, m22))
     b2 = (2 * f.a * m11 * m12 + f.b * (m11 * m22 + m12 * m21)
           + 2 * f.c * m21 * m22)
-    return BinaryForm(a2, b2, c2)
+    return a2, b2, c2
+
+
+def change_variables(f: BinaryForm, m) -> BinaryForm:
+    """The form f(m11 x + m12 y, m21 x + m22 y).
+
+    For unimodular m this keeps the value set and the discriminant.
+    """
+    return BinaryForm(*_compose(f, m))
 
 
 def parse_form(text: str) -> BinaryForm | GeneralForm:

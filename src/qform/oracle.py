@@ -297,18 +297,10 @@ def excluded_classes(verdict: Verdict, p: int, r: int) -> frozenset[int]:
     return frozenset()
 
 
-@dataclass(frozen=True, slots=True)
-class CoverageSchedule:
-    """At which (r, bound) full coverage is expected of a dense form."""
-
-    max_r: int = 3
-    bound_factor: int = 10
-
-    def sufficient(self, p: int, r: int, bound: int) -> bool:
-        return r <= self.max_r and bound >= self.bound_factor * p ** r
-
-
-DEFAULT_SCHEDULE = CoverageSchedule()
+# a dense form must cover every class mod p**r once r <= COVERAGE_MAX_R and
+# bound >= COVERAGE_BOUND_FACTOR * p**r
+COVERAGE_MAX_R = 3
+COVERAGE_BOUND_FACTOR = 10
 
 
 @dataclass(frozen=True, slots=True)
@@ -333,18 +325,17 @@ class CrossCheckReport:
                 "coverage": self.coverage.to_json_dict()}
 
 
-def cross_check(f, p: int, r: int, bound: int,
-                schedule: CoverageSchedule = DEFAULT_SCHEDULE) -> CrossCheckReport:
+def cross_check(f, p: int, r: int, bound: int) -> CrossCheckReport:
     """Confront the decider with enumeration.
 
-    Dense: every residue class mod p**r must be covered once (r, bound) meet
-    the schedule. Not dense: the classes the verdict's obstruction excludes
-    must stay missing at every bound.
+    Dense: every residue class mod p**r must be covered once r and bound
+    meet the coverage schedule above. Not dense: the classes the verdict's
+    obstruction excludes must stay missing at every bound.
     """
     verdict = decide(f, p)
     report = coverage(f, p, r, bound)
     if verdict.dense:
-        if schedule.sufficient(p, r, bound):
+        if r <= COVERAGE_MAX_R and bound >= COVERAGE_BOUND_FACTOR * p ** r:
             expectation = "full-coverage"
             bad = report.missing
         else:

@@ -74,16 +74,23 @@ def lift_representation(f: BinaryForm, p: int, n: int, r: int) -> tuple[int, int
     if found is None:
         raise InternalConsistencyError(
             f"no representative of {n} mod {p}; the form should be universal")
-    x, y = found
+    return _hensel(f, p, n, r, *found)
+
+
+def _hensel(f: BinaryForm, p: int, n: int, r: int, x: int,
+            y: int) -> tuple[int, int]:
+    """Lift f(x, y) = n mod p, at a point where a partial derivative is a
+    unit mod p, to f(x, y) = n mod p**r; each step moves x if its partial
+    derivative is the unit, else y."""
     for s in range(1, r):
         ps = p ** s
         m = (f.evaluate((x, y)) - n) // ps
         # f(x + i p^s, y) = f(x, y) + (2ax + by) i p^s mod p^(s+1), same shape in y
-        dx = (2 * a * x + b * y) % p
+        dx = (2 * f.a * x + f.b * y) % p
         if dx:
             x += (-m * mod_inverse(dx, p)) % p * ps
         else:
-            dy = (b * x + 2 * c * y) % p
+            dy = (f.b * x + 2 * f.c * y) % p
             if not dy:
                 raise InternalConsistencyError("both partial derivatives vanished mod p")
             y += (-m * mod_inverse(dy, p)) % p * ps
@@ -98,6 +105,8 @@ def lift_representation_two(f: BinaryForm, n: int, r: int) -> tuple[int, int]:
     Needs f isotropic and nonsingular mod 2, i.e. b odd and a or c even. The
     coordinate multiplying the odd outer coefficient stays odd throughout:
     y when a is even, x otherwise (the two cases trade places via (x,y)->(y,x)).
+    With b and y odd, the partial derivative in x is the unit 1 mod 2, so each
+    step moves x alone.
     """
     if r < 1:
         raise ValueError("precision must be at least 1")
@@ -106,18 +115,9 @@ def lift_representation_two(f: BinaryForm, n: int, r: int) -> tuple[int, int]:
     if f.a % 2 and f.c % 2:
         raise ValueError("lifting needs a form isotropic mod 2")
     swapped = f.a % 2 == 1
-    a, b, c = (f.c, f.b, f.a) if swapped else (f.a, f.b, f.c)
-    x, y = (n - c) % 2, 1
-    for s in range(1, r):
-        ps = 2 ** s
-        m = (a * x * x + b * x * y + c * y * y - n) // ps
-        # f(x + i 2^s, y) = f(x, y) + b i y 2^s mod 2^(s+1), and b, y are odd
-        x += m % 2 * ps
-    if swapped:
-        x, y = y, x
-    if (f.evaluate((x, y)) - n) % 2 ** r:
-        raise InternalConsistencyError("lift lost the target residue")
-    return x, y
+    g = f.swapped() if swapped else f
+    x, y = _hensel(g, 2, n, r, (n - g.c) % 2, 1)
+    return (y, x) if swapped else (x, y)
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,27 +147,11 @@ class Witness:
         return cls(tuple(num_point), tuple(den_point), target_num, target_den,
                    r, strategy, achieved)
 
-    # binary accessors: numerator point (x, y), denominator point (z, w)
-    @property
-    def x(self) -> int:
-        return self.num_point[0]
-
-    @property
-    def y(self) -> int:
-        return self.num_point[1]
-
-    @property
-    def z(self) -> int:
-        return self.den_point[0]
-
-    @property
-    def w(self) -> int:
-        return self.den_point[1]
-
     def to_json_dict(self) -> dict:
         target = f"{self.target_num}/{self.target_den}"
         if len(self.num_point) == 2:
-            return {"x": self.x, "y": self.y, "z": self.z, "w": self.w,
+            (x, y), (z, w) = self.num_point, self.den_point
+            return {"x": x, "y": y, "z": z, "w": w,
                     "target": target, "r": self.precision, "strategy": self.strategy}
         return {"x": list(self.num_point), "z": list(self.den_point),
                 "target": target, "r": self.precision, "strategy": self.strategy}
@@ -233,22 +217,20 @@ def _structured_witness(f, binary: BinaryForm, p: int, tn: int, td: int,
     quotient within p**-r of tn/td.
     """
     precision = r + 2 * int(valuation(td, p))
-    fact = factor_discriminant(binary, p)
-    if fact.k == 0:
-        lift = (lambda m, s: lift_representation_two(binary, m, s)) if p == 2 \
-            else (lambda m, s: lift_representation(binary, p, m, s))
-        num_point = lift(tn, precision)
-        den_point = lift(td, precision)
-        return Witness.build(f, p, num_point, den_point, tn, td, r, "lift")
-    reduction = two_singular_reduction(binary) if p == 2 \
-        else odd_singular_reduction(binary, p)
-    reduced = reduction.reduced
-    lift = (lambda m, s: lift_representation_two(reduced, m, s)) if p == 2 \
-        else (lambda m, s: lift_representation(reduced, p, m, s))
-    # pulled-back points scale both values by p**k, so the quotient is unchanged
-    num_point = reduction.pull_back(lift(tn, precision))
-    den_point = reduction.pull_back(lift(td, precision))
-    return Witness.build(f, p, num_point, den_point, tn, td, r, "reduce-lift")
+    reduction = None
+    if factor_discriminant(binary, p).k:
+        reduction = two_singular_reduction(binary) if p == 2 \
+            else odd_singular_reduction(binary, p)
+    g = binary if reduction is None else reduction.reduced
+
+    def lift(m: int) -> tuple[int, int]:
+        point = lift_representation_two(g, m, precision) if p == 2 \
+            else lift_representation(g, p, m, precision)
+        # pulled-back points scale both values by p**k: the quotient is unchanged
+        return point if reduction is None else reduction.pull_back(point)
+
+    return Witness.build(f, p, lift(tn), lift(td), tn, td, r,
+                         "lift" if reduction is None else "reduce-lift")
 
 
 def _first_point(f, value: int, bounds) -> tuple[int, ...]:
@@ -301,6 +283,8 @@ def exclusion_certificate(f: BinaryForm, p: int,
     val(q - target) > radius_exponent. Verification enumerates every value
     pair with coordinates up to verify_bound and confirms none violates it.
     """
+    if verify_bound < 1:
+        raise ValueError("verify_bound must be at least 1")
     verdict = decide_binary_tree(f, p)
     if verdict.dense:
         raise ValueError("quotients are dense; no exclusion certificate exists")

@@ -118,6 +118,17 @@ def test_witness_budget_env(capsys, monkeypatch):
     assert "coordinates up to 2" in err
 
 
+def test_witness_rejects_bound_below_one(capsys):
+    # certificate and witness branches alike: an empty box proves nothing
+    cases = [("1,0,1", "3", "0"), ("1,0,1", "3", "-5"), ("1,0,1", "5", "0"),
+             ("3; 1,0,0,1,0,1", "3", "-3")]
+    for form, p, bound in cases:
+        code, out, err = run(capsys, "witness", "--form", form, "--prime", p,
+                             "--target", "5", "--bound", bound)
+        assert (code, out) == (1, ""), (form, p, bound)
+        assert "--bound must be at least 1" in err
+
+
 def test_oracle_report(capsys):
     payload = run_json(capsys, "oracle", "--form", "1,0,1", "--prime", "3",
                        "--r", "2", "--bound", "90")

@@ -204,6 +204,33 @@ def test_enumeration_witness_points_are_pinned():
         assert (w.num_point, w.den_point) == (num, den), (g.coeffs, p, tn, td)
 
 
+def test_structured_witness_points_are_pinned():
+    # a swapped orientation or a flipped translation sign still gives a valid
+    # witness, so only the exact points catch it
+    cases = [
+        ((2, 1, 3), 2, 7, 3, 5, "lift", (4, 1), (0, 1)),              # a even
+        ((3, 1, 2), 2, -5, 9, 4, "lift", (1, 8), (1, 14)),            # a odd
+        ((1, 1, -2), 2, 1, 6, 3, "lift", (1, 0), (1, 7)),             # a odd
+        ((1, 0, 1), 5, 3, 5, 2, "lift", (182, 2), (1, 2)),
+        ((2, 1, -3), 7, -51, 5, 3, "lift", (246, 6), (281, 6)),
+        ((7, -1, -1), 13, 5, 26, 3, "lift", (1, 1), (326, 4)),
+        ((1, 0, -4), 2, 7, 3, 4, "reduce-lift", (16, 6), (8, 2)),
+        ((1, 2, -3), 2, 3, 1, 5, "reduce-lift", (6, 2), (4, 0)),
+        ((4, 0, -1), 2, -2, 5, 3, "reduce-lift", (1, 6), (2, 8)),     # a even
+        ((8, 6, 1), 2, -7, 3, 4, "reduce-lift", (8, 18), (2, 6)),     # a even
+        ((0, 4, 1), 2, 1, 3, 2, "reduce-lift", (0, 4), (2, 4)),       # a even
+        ((1, 0, -9), 3, 5, 7, 3, "reduce-lift", (0, 7), (-39, 0)),
+        ((1, 3, 0), 3, 4, 7, 3, "reduce-lift", (-75, 0), (-39, 0)),
+        ((2, 5, 0), 5, 2, 7, 2, "reduce-lift", (-440, 22), (-240, 12)),
+        ((9, 0, -1), 3, 2, 5, 2, "reduce-lift", (0, -12), (0, -21)),  # p | a
+        ((0, 3, 1), 3, -51, 5, 2, "reduce-lift", (1, -18), (4, -24)),  # p | a
+    ]
+    for coeffs, p, tn, td, r, strategy, num, den in cases:
+        w = approximate_quotient(BinaryForm(*coeffs), Prime(p), tn, td, r)
+        assert (w.strategy, w.num_point, w.den_point) == (strategy, num, den), \
+            (coeffs, p, tn, td, r)
+
+
 def test_approximate_quotient_lift_errors_propagate(monkeypatch):
     # a failed lift on a dense binary form is a bug, never a reason to enumerate
     def broken(*args):
@@ -309,6 +336,14 @@ def test_exclusion_certificate_refuted(monkeypatch):
     for part in ("1,0,-3", "p=3", "target 1", "radius 1", "bound 5",
                  "N/D = -71/1"):
         assert part in message, part
+
+
+def test_exclusion_certificate_rejects_empty_box():
+    # a box without a nonzero value would pass the exhaustive check vacuously
+    for bound in (0, -5):
+        with pytest.raises(ValueError, match="verify_bound must be at least 1"):
+            exclusion_certificate(BinaryForm(1, 0, 1), Prime(3),
+                                  verify_bound=bound)
 
 
 def test_exclusion_certificate_rejects_dense():
