@@ -25,8 +25,8 @@ from .padic import (INFINITY, Prime, is_prime, is_square_in_qp, legendre,
                     mod_inverse, split_unit, valuation, valuation_rational)
 from .witness import (DEFAULT_BUDGET, ExclusionCertificate, Witness,
                       approximate_quotient, exclusion_certificate,
-                      least_nonresidue, lift_representation,
-                      lift_representation_two, quotient_error_valuation)
+                      lift_representation, lift_representation_two,
+                      quotient_error_valuation)
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,7 @@ __all__ = [
     "decide_binary_squareclass", "decide_binary_tree", "decide_checked",
     "decide_general", "excluded_classes", "exclusion_certificate",
     "factor_discriminant", "format_form", "is_isotropic_mod_p", "is_prime",
-    "is_singular_mod_p", "is_square_in_qp", "least_nonresidue", "legendre",
+    "is_singular_mod_p", "is_square_in_qp", "legendre",
     "lift_representation", "lift_representation_two", "mod_inverse",
     "odd_singular_reduction", "parse_form", "quotient_error_valuation",
     "split_unit", "two_singular_reduction", "valuation", "valuation_rational",

@@ -85,8 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_witness.add_argument("--target", help="rational number, e.g. 7 or 3/5")
     p_witness.add_argument("--r", type=int, default=1,
                            help="required p-adic closeness exponent")
-    p_witness.add_argument("--bound", type=int,
-                           help="search budget / certificate check bound")
+    p_witness.add_argument(
+        "--bound", type=int,
+        help=f"search budget / certificate check bound, default "
+             f"{DEFAULT_BUDGET}, capped by {MAX_BUDGET_ENV}")
     p_witness.set_defaults(func=_cmd_witness)
 
     p_oracle = sub.add_parser("oracle",
@@ -178,23 +180,28 @@ def _parse_target(text: str) -> Fraction:
 
 
 def _witness_budget(args) -> int:
+    """The witness search box and the certificate check box: --bound, else
+    DEFAULT_BUDGET, at most the environment's cap."""
     budget = args.bound if args.bound is not None else DEFAULT_BUDGET
-    cap = os.environ.get(MAX_BUDGET_ENV)
-    if cap is not None:
-        try:
-            budget = min(budget, int(cap))
-        except ValueError as exc:
-            raise UsageError(f"{MAX_BUDGET_ENV} must be an integer") from exc
-    return budget
+    try:
+        cap = int(os.environ.get(MAX_BUDGET_ENV, budget))
+    except ValueError as exc:
+        raise UsageError(f"{MAX_BUDGET_ENV} must be an integer") from exc
+    if cap < 1:
+        raise UsageError(f"{MAX_BUDGET_ENV} must be at least 1")
+    return min(budget, cap)
+
+
+def _coverage_bound(args, p: Prime) -> int:
+    """The oracle box: --bound, else COVERAGE_BOUND_FACTOR * p**r."""
+    return COVERAGE_BOUND_FACTOR * int(p) ** args.r if args.bound is None \
+        else args.bound
 
 
 def _cmd_witness(args) -> int:
     f = _form_from_args(args)
     p = _prime_from_args(args)
-    if args.r < 1:
-        raise UsageError("--r must be at least 1")
-    if args.bound is not None and args.bound < 1:
-        raise UsageError("--bound must be at least 1")
+    budget = _witness_budget(args)
     verdict = decide(f, p)
     if verdict.dense:
         if args.target is None:
@@ -202,8 +209,7 @@ def _cmd_witness(args) -> int:
                              "to approximate")
         target = _parse_target(args.target)
         key, evidence = "witness", approximate_quotient(
-            f, p, target.numerator, target.denominator, args.r,
-            budget=_witness_budget(args))
+            f, p, target.numerator, target.denominator, args.r, budget=budget)
     else:
         if not isinstance(f, BinaryForm) and f.rank != 2:
             raise UsageError("exclusion certificates are built for binary "
@@ -211,7 +217,7 @@ def _cmd_witness(args) -> int:
                              f"{f.rank}")
         binary = f if isinstance(f, BinaryForm) else f.to_binary()
         key, evidence = "certificate", exclusion_certificate(
-            binary, p, verify_bound=args.bound if args.bound is not None else 50)
+            binary, p, verify_bound=budget)
     _emit_record(args, {"form": format_form(f), "prime": int(p),
                         "dense": verdict.dense}, key, evidence.to_json_dict())
     return 0
@@ -220,13 +226,7 @@ def _cmd_witness(args) -> int:
 def _cmd_oracle(args) -> int:
     f = _form_from_args(args)
     p = _prime_from_args(args)
-    if args.r < 1:
-        raise UsageError("--r must be at least 1")
-    bound = args.bound if args.bound is not None \
-        else COVERAGE_BOUND_FACTOR * int(p) ** args.r
-    if bound < 1:
-        raise UsageError("--bound must be at least 1")
-    report = coverage(f, p, args.r, bound)
+    report = coverage(f, p, args.r, _coverage_bound(args, p))
     _emit_record(args, {"form": format_form(f), "prime": int(p)}, "report",
                  report.to_json_dict())
     return 0
@@ -240,18 +240,12 @@ def _parse_sweep_line(line: str, lineno: int):
     head, tail = parts
     try:
         p = Prime(int(tail))
+        return parse_form(head), p
     except ValueError as exc:
         raise UsageError(f"config line {lineno}: {exc}") from exc
-    try:
-        f = parse_form(head)
-    except InvalidFormError as exc:
-        raise UsageError(f"config line {lineno}: {exc}") from exc
-    return f, p
 
 
 def _cmd_sweep(args) -> int:
-    if args.r < 1:
-        raise UsageError("--r must be at least 1")
     try:
         with open(args.config, encoding="utf-8") as handle:
             raw = handle.readlines()
@@ -264,9 +258,7 @@ def _cmd_sweep(args) -> int:
         if not line:
             continue
         f, p = _parse_sweep_line(line, lineno)
-        bound = args.bound if args.bound is not None \
-            else COVERAGE_BOUND_FACTOR * int(p) ** args.r
-        report = cross_check(f, p, args.r, bound)
+        report = cross_check(f, p, args.r, _coverage_bound(args, p))
         results.append(report)
         all_passed = all_passed and report.passed
     payload = {"passed": all_passed,
@@ -288,6 +280,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_attach_signed_values(
             sys.argv[1:] if argv is None else list(argv)))
+        if getattr(args, "r", 1) < 1:
+            raise UsageError("--r must be at least 1")
+        if getattr(args, "bound", None) is not None and args.bound < 1:
+            raise UsageError("--bound must be at least 1")
         return args.func(args)
     except (UsageError, InvalidFormError, BudgetExceededError,
             ValueError) as exc:

@@ -256,14 +256,32 @@ def coverage(f, p: int, r: int, bound: int) -> CoverageReport:
                           tracker.pairs_sampled())
 
 
-def _odd_valuation_residues(p: int, r: int) -> set[int]:
-    out = set()
-    for j in range(1, r, 2):
-        pj = p ** j
-        for unit in range(1, p ** (r - j)):
-            if unit % p:
-                out.add(pj * unit)
-    return out
+def _obstruction(verdict: Verdict, p: int):
+    """(r0, test, why) for a not-dense binary leaf, else None.
+
+    No quotient is congruent mod p**r, for any r >= r0, to a residue z with
+    test(z); why is the reason, as certificates state it.
+    """
+    tag, fac = verdict.theorem_tag, verdict.factorization
+    parity = 2, lambda z: z % p == 0 and valuation(z, p) % 2 == 1
+    if tag == LEAF_ANISOTROPIC:
+        return *parity, ("every value has even valuation, so no quotient "
+                         "has valuation 1")
+    if tag == LEAF_ODD_NONRESIDUE:
+        return *parity, ("stripping p**k leaves a form anisotropic mod p, "
+                         "so quotient valuations stay even")
+    if tag == LEAF_ODD_K_ODD:
+        return fac.k + 1, lambda z: legendre(z, p) == -1, \
+            f"odd k forbids quotients within p**-{fac.k} of any nonresidue unit"
+    if tag == LEAF_TWO_K_ODD:
+        return fac.k + 3, lambda z: z % 2 ** (fac.k + 3) == 5, \
+            f"odd k forbids quotients within 2**-{fac.k + 2} of 5"
+    if tag != LEAF_TWO_UNIT_NONSQUARE:
+        return None
+    if fac.ell % 8 == 5:
+        return *parity, "ell = 5 mod 8 keeps every quotient valuation even"
+    return 4, lambda z: z % 16 == 3, \
+        "ell = 3 or 7 mod 8 keeps quotients away from 3 mod 16"
 
 
 def excluded_classes(verdict: Verdict, p: int, r: int) -> frozenset[int]:
@@ -272,29 +290,13 @@ def excluded_classes(verdict: Verdict, p: int, r: int) -> frozenset[int]:
     Empty when r is too small for the obstruction to be visible; the oracle
     then has nothing to falsify at this precision.
     """
-    tag = verdict.theorem_tag
-    if tag in (LEAF_ANISOTROPIC, LEAF_ODD_NONRESIDUE):
-        return frozenset(_odd_valuation_residues(p, r))
-    if tag == LEAF_ODD_K_ODD:
-        if r < verdict.factorization.k + 1:
-            return frozenset()
-        return frozenset(z for z in range(1, p ** r)
-                         if z % p and legendre(z, p) == -1)
-    if tag == LEAF_TWO_K_ODD:
-        if r < verdict.factorization.k + 3:
-            return frozenset()
-        return frozenset(range(5, 2 ** r, 2 ** (verdict.factorization.k + 3)))
-    if tag == LEAF_TWO_UNIT_NONSQUARE:
-        if verdict.factorization.ell % 8 == 5:
-            return frozenset(_odd_valuation_residues(2, r))
-        if r < 4:
-            return frozenset()
-        return frozenset(range(3, 2 ** r, 16))
-    if tag == TAG_RANK_ONE:
-        m = p ** r
-        squares = {x * x % m for x in range(m)}
-        return frozenset(set(range(m)) - squares)
-    return frozenset()
+    m = p ** r
+    if verdict.theorem_tag == TAG_RANK_ONE:
+        return frozenset(set(range(m)) - {x * x % m for x in range(m)})
+    obstruction = _obstruction(verdict, p)
+    if obstruction is None or r < obstruction[0]:
+        return frozenset()
+    return frozenset(z for z in range(1, m) if obstruction[1](z))
 
 
 # a dense form must cover every class mod p**r once r <= COVERAGE_MAX_R and

@@ -13,18 +13,19 @@ no quotient at all, and verifies that claim by exhaustive search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import gcd
 
 import numpy as np
 
-from .decide import (LEAF_ANISOTROPIC, LEAF_ODD_K_ODD, LEAF_ODD_NONRESIDUE,
-                     LEAF_TWO_K_ODD, decide, decide_binary_tree)
+from .decide import decide, decide_binary_tree
 from .errors import BudgetExceededError, InternalConsistencyError
 from .forms import (BinaryForm, GeneralForm, factor_discriminant, format_form,
                     is_isotropic_mod_p, is_singular_mod_p,
                     odd_singular_reduction, two_singular_reduction)
-from .oracle import _expanding_bounds, _point_at, _shell_batches, _value_pair
-from .padic import INFINITY, legendre, mod_inverse, valuation
+from .oracle import (_expanding_bounds, _obstruction, _point_at,
+                     _shell_batches, _value_pair)
+from .padic import INFINITY, mod_inverse, valuation
 
 DEFAULT_BUDGET = 50
 
@@ -252,7 +253,9 @@ def _first_point(f, value: int, bounds) -> tuple[int, ...]:
 def _enumeration_witness(f, p: int, tn: int, td: int, r: int,
                          budget: int | None) -> Witness:
     limit = DEFAULT_BUDGET if budget is None else budget
-    bounds = list(_expanding_bounds(max(limit, 1)))
+    if limit < 1:
+        raise ValueError("budget must be at least 1")
+    bounds = list(_expanding_bounds(limit))
     values = np.zeros(0, dtype=np.int64)
     lo = 0
     for hi in bounds:
@@ -267,49 +270,23 @@ def _enumeration_witness(f, p: int, tn: int, td: int, r: int,
         f"no witness found with coordinates up to {limit}", limit)
 
 
-def least_nonresidue(p: int) -> int:
-    """Smallest positive quadratic nonresidue modulo an odd prime."""
-    n = 2
-    while legendre(n, p) != -1:
-        n += 1
-    return n
-
-
 def exclusion_certificate(f: BinaryForm, p: int,
-                          verify_bound: int = 50) -> ExclusionCertificate:
+                          verify_bound: int = DEFAULT_BUDGET
+                          ) -> ExclusionCertificate:
     """Certificate for a not-dense verdict, checked by exhaustive search.
 
-    The claim is strict: no quotient q satisfies
-    val(q - target) > radius_exponent. Verification enumerates every value
-    pair with coordinates up to verify_bound and confirms none violates it.
+    The ball is the least class the oracle's excluded_classes forbids, at
+    the first precision where it forbids any. No quotient q may satisfy
+    val(q - target) > radius_exponent; verification enumerates every value
+    pair with coordinates up to verify_bound and confirms none does.
     """
     if verify_bound < 1:
         raise ValueError("verify_bound must be at least 1")
     verdict = decide_binary_tree(f, p)
     if verdict.dense:
         raise ValueError("quotients are dense; no exclusion certificate exists")
-    tag = verdict.theorem_tag
-    k, ell = verdict.factorization.k, verdict.factorization.ell
-    if tag == LEAF_ANISOTROPIC:
-        target, radius = p, 1
-        why = "every value has even valuation, so no quotient has valuation 1"
-    elif tag == LEAF_ODD_NONRESIDUE:
-        target, radius = p, 1
-        why = ("stripping p**k leaves a form anisotropic mod p, "
-               "so quotient valuations stay even")
-    elif tag == LEAF_ODD_K_ODD:
-        target, radius = least_nonresidue(p), k
-        why = (f"odd k forbids quotients within p**-{k} "
-               f"of any nonresidue unit")
-    elif tag == LEAF_TWO_K_ODD:
-        target, radius = 5, k + 2
-        why = f"odd k forbids quotients within 2**-{k + 2} of 5"
-    elif ell % 8 == 5:
-        target, radius = 2, 1
-        why = "ell = 5 mod 8 keeps every quotient valuation even"
-    else:
-        target, radius = 3, 3
-        why = "ell = 3 or 7 mod 8 keeps quotients away from 3 mod 16"
+    r0, test, why = _obstruction(verdict, p)
+    target, radius = next(z for z in count(1) if test(z)), r0 - 1
     # a binary form's box is a single batch
     _, _, values = next(_shell_batches(f, 0, verify_bound))
     pair = _value_pair(values, p, target, 1, radius + 1)
@@ -318,4 +295,5 @@ def exclusion_certificate(f: BinaryForm, p: int,
             f"exclusion certificate refuted: form {format_form(f)}, p={p}, "
             f"target {target}, radius {radius}, bound {verify_bound}: "
             f"quotient N/D = {pair[0]}/{pair[1]} enters the ball")
-    return ExclusionCertificate(target, 1, radius, f"{tag}: {why}")
+    return ExclusionCertificate(target, 1, radius,
+                                f"{verdict.theorem_tag}: {why}")

@@ -1,0 +1,11 @@
+import qform
+
+
+def test_all_names_resolve():
+    # a stale name in __all__ breaks "from qform import *"
+    missing = [name for name in qform.__all__ if not hasattr(qform, name)]
+    assert not missing
+
+
+def test_all_has_no_duplicates():
+    assert len(qform.__all__) == len(set(qform.__all__))

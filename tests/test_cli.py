@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import qform.witness as witness_mod
 from qform import valuation_rational
 from qform.cli import main
 
@@ -116,6 +117,29 @@ def test_witness_budget_env(capsys, monkeypatch):
                        "--target", "4126", "--r", "12")
     assert code == 1
     assert "coordinates up to 2" in err
+
+
+def test_witness_budget_env_below_one(capsys, monkeypatch):
+    # the cap bounds the witness box and the certificate box alike
+    requests = [("--rank", "3", "--coeffs", "1,0,0,1,0,1", "--prime", "3",
+                 "--target", "5"),
+                ("--form", "1,0,1", "--prime", "3")]
+    for cap in ("0", "-4"):
+        monkeypatch.setenv("QFORM_MAX_BUDGET", cap)
+        for argv in requests:
+            code, out, err = run(capsys, "witness", *argv)
+            assert (code, out) == (1, ""), (cap, argv)
+            assert "QFORM_MAX_BUDGET must be at least 1" in err
+
+
+def test_witness_budget_env_caps_certificate(capsys, monkeypatch):
+    # a planted false claim is refuted in the capped box, not the default 50
+    monkeypatch.setattr(witness_mod, "_obstruction",
+                        lambda v, p: (2, lambda z: z % 3 == 1, "planted"))
+    monkeypatch.setenv("QFORM_MAX_BUDGET", "3")
+    code, out, err = run(capsys, "witness", "--form", "1,0,-3", "--prime", "3")
+    assert (code, out) == (2, "")
+    assert "bound 3:" in err
 
 
 def test_witness_rejects_bound_below_one(capsys):

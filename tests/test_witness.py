@@ -8,7 +8,7 @@ import pytest
 import qform.witness as witness_mod
 from qform import (BinaryForm, BudgetExceededError, GeneralForm,
                    InternalConsistencyError, Prime, approximate_quotient,
-                   decide, exclusion_certificate, least_nonresidue,
+                   decide, excluded_classes, exclusion_certificate,
                    lift_representation, lift_representation_two,
                    quotient_error_valuation, valuation_rational)
 
@@ -252,6 +252,13 @@ def test_approximate_quotient_rejects_not_dense():
         approximate_quotient(BinaryForm(1, 0, 1), Prime(5), 1, 0, 1)
 
 
+def test_enumeration_witness_rejects_empty_box():
+    g = GeneralForm(3, (1, 0, 0, 1, 0, 1))
+    for budget in (0, -4):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            approximate_quotient(g, Prime(3), 5, 1, 1, budget=budget)
+
+
 def test_budget_exhaustion():
     g = GeneralForm(3, (1, 0, 0, 1, 0, 1))
     with pytest.raises(BudgetExceededError) as info:
@@ -270,15 +277,6 @@ def test_witness_json_binary():
     assert f.evaluate((d["x"], d["y"])) == f.evaluate(w.num_point)
 
 
-def test_least_nonresidue():
-    assert least_nonresidue(3) == 2
-    assert least_nonresidue(5) == 2
-    assert least_nonresidue(7) == 3
-    assert least_nonresidue(11) == 2
-    assert least_nonresidue(17) == 3
-    assert least_nonresidue(73) == 5
-
-
 def certificate_holds_bruteforce(f, p, cert, bound):
     # no quotient may fall strictly inside the stated ball around the target
     tn, td = cert.target_num, cert.target_den
@@ -294,21 +292,57 @@ def certificate_holds_bruteforce(f, p, cert, bound):
 
 
 def test_exclusion_certificate_examples():
+    parity = "every value has even valuation, so no quotient has valuation 1"
+    odd_k = "odd k forbids quotients within p**-{} of any nonresidue unit"
     cases = [
-        ((1, 0, 1), 3, 3, 1),       # anisotropic: valuation-1 targets missed
-        ((1, 0, -3), 3, 2, 1),      # odd k: nonresidue unit target
-        ((1, 0, 9), 3, 3, 1),       # nonresidue cofactor
-        ((1, 0, 1), 2, 3, 3),       # ell = 7 mod 8: stay away from 3
-        ((1, 0, 3), 2, 2, 1),       # ell = 5 mod 8: valuation parity
-        ((1, 0, 2), 2, 5, 5),       # k = 3 odd: 5 is missed within 2^-5
+        # anisotropic: valuation-1 targets missed
+        ((1, 0, 1), 3, 3, 1, "anisotropic: " + parity),
+        ((1, 1, 1), 2, 2, 1, "anisotropic: " + parity),
+        # odd k: the least nonresidue unit is the target
+        ((1, 0, -3), 3, 2, 1, "odd-singular-k-odd: " + odd_k.format(1)),
+        ((1, 0, -27), 3, 2, 3, "odd-singular-k-odd: " + odd_k.format(3)),
+        ((1, 0, -7), 7, 3, 1, "odd-singular-k-odd: " + odd_k.format(1)),
+        ((1, 0, -73), 73, 5, 1, "odd-singular-k-odd: " + odd_k.format(1)),
+        # nonresidue cofactor
+        ((1, 0, 9), 3, 3, 1,
+         "odd-singular-nonresidue: stripping p**k leaves a form anisotropic "
+         "mod p, so quotient valuations stay even"),
+        # ell = 7 mod 8: stay away from 3
+        ((1, 0, 1), 2, 3, 3,
+         "two-singular-ell-not-1-mod-8: ell = 3 or 7 mod 8 keeps quotients "
+         "away from 3 mod 16"),
+        # ell = 5 mod 8: valuation parity
+        ((1, 0, 3), 2, 2, 1,
+         "two-singular-ell-not-1-mod-8: ell = 5 mod 8 keeps every quotient "
+         "valuation even"),
+        # k = 3 odd: 5 is missed within 2^-5
+        ((1, 0, 2), 2, 5, 5,
+         "two-singular-k-odd: odd k forbids quotients within 2**-5 of 5"),
     ]
-    for coeffs, p, target, radius in cases:
+    for coeffs, p, target, radius, why in cases:
         f = BinaryForm(*coeffs)
         cert = exclusion_certificate(f, Prime(p))
         assert (cert.target_num, cert.target_den) == (target, 1), coeffs
         assert cert.radius_exponent == radius, coeffs
-        assert cert.justification
-        certificate_holds_bruteforce(f, p, cert, 25)
+        assert cert.justification == why, coeffs
+        certificate_holds_bruteforce(f, p, cert, 25 if p < 50 else 8)
+
+
+def test_exclusion_certificate_is_an_excluded_class():
+    # the certificate's ball is the first class the oracle checks as missing
+    for coeffs in product(range(-3, 4), repeat=3):
+        if gcd(*coeffs) != 1 or coeffs[1] ** 2 - 4 * coeffs[0] * coeffs[2] == 0:
+            continue
+        f = BinaryForm(*coeffs)
+        for p in map(Prime, (2, 3, 5, 7)):
+            v = decide(f, p)
+            if v.dense:
+                continue
+            cert = exclusion_certificate(f, p, verify_bound=3)
+            e = cert.radius_exponent
+            assert excluded_classes(v, p, e) == frozenset(), (coeffs, p)
+            assert cert.target_num % p ** (e + 1) in \
+                excluded_classes(v, p, e + 1), (coeffs, p)
 
 
 def test_exclusion_certificate_random():
@@ -329,7 +363,8 @@ def test_exclusion_certificate_random():
 def test_exclusion_certificate_refuted(monkeypatch):
     # plant a false claim: 1 is a square, so quotients come within 3**-1 of it;
     # the first denominator is 1 and the least numerator 1 mod 9 is -71
-    monkeypatch.setattr(witness_mod, "least_nonresidue", lambda p: 1)
+    monkeypatch.setattr(witness_mod, "_obstruction",
+                        lambda v, p: (2, lambda z: z % 3 == 1, "planted"))
     with pytest.raises(InternalConsistencyError) as info:
         exclusion_certificate(BinaryForm(1, 0, -3), Prime(3), verify_bound=5)
     message = str(info.value)
