@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_form_arguments(p_oracle)
     p_oracle.add_argument("--r", type=int, default=1)
     p_oracle.add_argument("--bound", type=int,
-                          help="coordinate box, default 10 * p**r")
+                          help="coordinate box, default "
+                               f"{COVERAGE_BOUND_FACTOR} * p**r")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_sweep = sub.add_parser(
@@ -105,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help='file of lines "a,b,c p" or "rank; coeffs p"')
     p_sweep.add_argument("--r", type=int, default=2)
     p_sweep.add_argument("--bound", type=int,
-                         help="coordinate box, default 10 * p**r per line")
+                         help="coordinate box, default "
+                              f"{COVERAGE_BOUND_FACTOR} * p**r per line")
     p_sweep.add_argument("--plain", action="store_true")
     p_sweep.set_defaults(func=_cmd_sweep)
 

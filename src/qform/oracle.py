@@ -36,96 +36,73 @@ def _max_abs_value(f, bound: int) -> int:
     return sum(abs(c) for c in _form_coeffs(f)) * bound * bound
 
 
-def _by_valuation(values: np.ndarray, p: int):
-    """Distinct nonzero values, ascending, and the p-adic valuation of each."""
-    arr = np.unique(values)
-    arr = arr[arr != 0]
-    vals = np.zeros(arr.size, dtype=np.int64)
-    cur = np.abs(arr)
-    mask = cur % p == 0
-    while mask.any():
-        vals[mask] += 1
-        cur[mask] //= p
-        mask = cur % p == 0
-    return arr, vals
-
-
 class _ResidueTracker:
     """Running record of quotient residues mod p**r.
 
     Feeding raw values is equivalent to pairing every value with every value:
     for denominators of valuation s only the residues mod p**r of value/p**s
-    matter, so one small set per valuation class is enough. The covered set
-    only ever grows, which is what makes early stopping sound.
+    matter. So class s keeps one set of numerator residues (value/p**s for
+    each value of valuation >= s) and one dict from each denominator residue
+    (valuation exactly s) to its inverse. The covered set only ever grows,
+    which is what makes early stopping sound.
     """
 
     def __init__(self, p: int, r: int):
         self.p = int(p)
-        self.r = r
         self.modulus = self.p ** r
-        self.num_res: dict[int, set[int]] = {}
-        self.den_res: dict[int, set[int]] = {}
+        self.classes: list[tuple[set[int], dict[int, int]]] = []
         self.covered: set[int] = set()
         self.saw_zero = False
-        self.saw_denominator = False
-        self._inverse = {u: mod_inverse(u, self.modulus)
-                         for u in range(1, self.modulus) if u % self.p}
 
     def full(self) -> bool:
         return len(self.covered) == self.modulus
 
     def add_batch(self, values) -> None:
-        values = np.asarray(values)
-        if values.size == 0:
-            return
-        self.saw_zero = self.saw_zero or bool((values == 0).any())
-        arr, vals = _by_valuation(values, self.p)
-        for s in range(int(vals.max()) + 1 if arr.size else 0):
-            ps = self.p ** s
-            nums = set((arr[vals >= s] // ps % self.modulus).tolist())
-            dens = set((arr[vals == s] // ps % self.modulus).tolist())
-            self._merge(s, nums, dens)
-        self._absorb_zero()
-
-    def _merge(self, s: int, nums: set[int], dens: set[int]) -> None:
-        known_n = self.num_res.setdefault(s, set())
-        known_d = self.den_res.setdefault(s, set())
-        new_n = nums - known_n
-        new_d = dens - known_d
-        inv = self._inverse
-        cov = self.covered
-        mod = self.modulus
-        for d in known_d:
-            i = inv[d]
-            for n in new_n:
-                cov.add(n * i % mod)
-        known_n |= new_n
-        for d in new_d:
-            i = inv[d]
-            for n in known_n:
-                cov.add(n * i % mod)
-        known_d |= new_d
-        if known_d:
-            self.saw_denominator = True
-
-    def _absorb_zero(self) -> None:
-        if self.saw_zero and self.saw_denominator:
+        cur = np.asarray(values)
+        nonzero = cur != 0
+        self.saw_zero = self.saw_zero or not nonzero.all()
+        cur = cur[nonzero]
+        s = 0
+        # peel: at step s, cur holds value/p**s for each value of valuation >= s
+        while cur.size:
+            residues = (cur % self.modulus).astype(np.int64)
+            nums = np.flatnonzero(np.bincount(residues))
+            self._add_class(s, nums.tolist(), nums[nums % self.p != 0].tolist())
+            cur = cur[cur % self.p == 0] // self.p
+            s += 1
+        if self.saw_zero and self.classes:
             self.covered.add(0)
 
+    def _add_class(self, s: int, nums: list[int], dens: list[int]) -> None:
+        """Pair what is new to class s: new numerators with the known
+        denominators, then every numerator with the new denominators."""
+        if s == len(self.classes):
+            self.classes.append((set(), {}))
+        known_n, known_d = self.classes[s]
+        mod, cov = self.modulus, self.covered
+        new_n = [n for n in nums if n not in known_n]
+        for i in known_d.values():
+            cov.update(n * i % mod for n in new_n)
+        known_n.update(new_n)
+        for d in dens:
+            if d not in known_d:
+                i = known_d[d] = pow(d, -1, mod)
+                cov.update(n * i % mod for n in known_n)
+
     def pairs_sampled(self) -> int:
-        total = sum(len(nums) * len(self.den_res.get(s, ()))
-                    for s, nums in self.num_res.items())
-        if self.saw_zero and self.saw_denominator:
+        total = sum(len(nums) * len(dens) for nums, dens in self.classes)
+        if self.saw_zero and self.classes:
             total += 1
         return total
 
 
 def _expanding_bounds(bound: int):
-    b = 4
-    while b < bound:
-        yield b
-        b *= 2
-    yield bound
+    """(lo, hi) for the shells of the boxes 4, 8, 16, ... and finally bound."""
+    lo, hi = 0, 4
+    while hi < bound:
+        yield lo, hi
+        lo, hi = hi, 2 * hi
+    yield lo, bound
 
 
 def _shell_batches(f, lo: int, hi: int):
@@ -182,10 +159,15 @@ def _value_pair(values, p: int, tn: int, td: int, r: int):
     N*td = tn*D mod p**(r + v(D) + v(td)). Dividing out p**v(td) leaves one
     congruence mod p**(r + s) per valuation class s of denominators.
     """
-    values = np.asarray(values)
-    dens, vals = _by_valuation(values, p)
-    nums = np.insert(dens, np.searchsorted(dens, 0), 0) \
-        if (values == 0).any() else dens
+    nums = np.unique(values)
+    dens = nums[nums != 0]
+    vals = np.zeros(dens.size, dtype=np.int64)
+    cur = dens.copy()
+    mask = cur % p == 0
+    while mask.any():
+        vals[mask] += 1
+        cur[mask] //= p
+        mask = cur % p == 0
     g = int(valuation(td, p))
     found = []
     for s in np.unique(vals).tolist():
@@ -193,7 +175,7 @@ def _value_pair(values, p: int, tn: int, td: int, r: int):
             continue
         m = p ** (r + s)
         # products of two residues stay below m**2, inside int64 for m < 2**31
-        dtype = object if values.dtype == object or m >= _INT32_SAFE else np.int64
+        dtype = object if nums.dtype == object or m >= _INT32_SAFE else np.int64
         cls = dens[vals == s].astype(dtype)
         inv = mod_inverse(td // p ** g, m)
         want = (tn % m) * (cls // p ** g % m) % m * inv % m
@@ -239,17 +221,12 @@ def coverage(f, p: int, r: int, bound: int) -> CoverageReport:
     if bound < 1:
         raise ValueError("bound must be at least 1")
     tracker = _ResidueTracker(p, r)
-    lo = 0
-    for hi in _expanding_bounds(bound):
-        done = False
-        for _, _, batch in _shell_batches(f, lo, hi):
-            tracker.add_batch(batch)
-            if tracker.full():
-                done = True
-                break
-        if done:
+    batches = (batch for lo, hi in _expanding_bounds(bound)
+               for _, _, batch in _shell_batches(f, lo, hi))
+    for batch in batches:
+        tracker.add_batch(batch)
+        if tracker.full():
             break
-        lo = hi
     covered = frozenset(tracker.covered)
     missing = tuple(sorted(set(range(tracker.modulus)) - covered))
     return CoverageReport(int(p), r, bound, covered, missing,

@@ -240,13 +240,11 @@ def _first_point(f, value: int, bounds) -> tuple[int, ...]:
     For value 0 that is the origin only when no other point of the first box
     has value 0: f(-x) = f(x), and one of x, -x comes before the origin.
     """
-    lo = 0
-    for hi in bounds:
+    for lo, hi in bounds:
         for prefix, keep, vals in _shell_batches(f, lo, hi):
             hits = np.flatnonzero(vals == value)
             if hits.size:
                 return _point_at(f, hi, prefix, keep, int(hits[0]))
-        lo = hi
     raise InternalConsistencyError(f"value {value} not found in the box")
 
 
@@ -257,11 +255,9 @@ def _enumeration_witness(f, p: int, tn: int, td: int, r: int,
         raise ValueError("budget must be at least 1")
     bounds = list(_expanding_bounds(limit))
     values = np.zeros(0, dtype=np.int64)
-    lo = 0
-    for hi in bounds:
+    for lo, hi in bounds:
         for _, _, batch in _shell_batches(f, lo, hi):
             values = np.union1d(values, batch)
-        lo = hi
         pair = _value_pair(values, p, tn, td, r)
         if pair is not None:
             num, den = (_first_point(f, v, bounds) for v in pair)

@@ -34,25 +34,29 @@ def quotient_residues_bruteforce(f, p, r, bound):
 
 
 def test_coverage_matches_bruteforce():
+    # the last entry is quotients_sampled
     cases = [
-        ((1, 0, 1), 5, 1, 7),
-        ((1, 0, 1), 3, 2, 8),
-        ((1, 0, 1), 2, 3, 6),
-        ((1, 1, -3), 3, 2, 9),
-        ((2, 1, 3), 2, 2, 6),
-        ((1, 0, -9), 3, 2, 10),
-        ((-1, 0, 2), 5, 1, 8),
-        ((3, 2, 5), 7, 1, 9),
+        ((1, 0, 1), 5, 1, 7, 34),
+        ((1, 0, 1), 3, 2, 8, 68),
+        ((1, 0, 1), 2, 3, 6, 42),
+        ((1, 1, -3), 3, 2, 9, 108),
+        ((2, 1, 3), 2, 2, 6, 48),
+        ((1, 0, -9), 3, 2, 10, 48),
+        ((-1, 0, 2), 5, 1, 8, 17),
+        ((3, 2, 5), 7, 1, 9, 34),
         # box values past 2**62: enumeration runs on exact object arrays
-        ((2**61 + 1, 3, 5), 3, 2, 6),
-        ((7, 2**62 - 1, -(2**40)), 2, 3, 5),
+        ((2**61 + 1, 3, 5), 3, 2, 6, 47),
+        ((7, 2**62 - 1, -(2**40)), 2, 3, 5, 145),
+        # a modulus larger than every box value
+        ((1, 0, 1), 1009, 2, 5, 362),
     ]
-    for coeffs, p, r, bound in cases:
+    for coeffs, p, r, bound, sampled in cases:
         f = BinaryForm(*coeffs)
         rep = coverage(f, Prime(p), r, bound)
         want = quotient_residues_bruteforce(f, p, r, bound)
         assert rep.covered == want, (coeffs, p, r)
         assert rep.missing == tuple(sorted(set(range(p**r)) - want))
+        assert rep.quotients_sampled == sampled, (coeffs, p, r)
 
 
 def test_coverage_matches_bruteforce_rank3():
@@ -130,8 +134,12 @@ def test_tracker_equivalent_to_pairing():
     f = BinaryForm(2, 1, 3)
     values = sorted({f.evaluate((x, y))
                      for x in range(-7, 8) for y in range(-7, 8)})
-    for p, r in ((2, 3), (3, 2), (5, 1)):
+    # a leading zero and an empty chunk arrive before any denominator
+    for p, r, lead in ((2, 3, ()), (3, 2, ()), (5, 1, ()),
+                       (3, 2, ([0], []))):
         tracker = _ResidueTracker(p, r)
+        for chunk in lead:
+            tracker.add_batch(chunk)
         chunk = []
         for v in values:
             chunk.append(v)
