@@ -1,8 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 bad input or an exhausted search budget, 2 internal
-consistency failure (the deciders disagree with each other or with the
-oracle), which always means a bug rather than bad input.
+Exit codes: 0 success, 1 bad input, an exhausted search budget or running out
+of memory, 2 internal consistency failure (the deciders disagree with each
+other or with the oracle), which always means a bug rather than bad input.
 """
 
 from __future__ import annotations
@@ -290,6 +290,10 @@ def main(argv=None) -> int:
     except (UsageError, InvalidFormError, BudgetExceededError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 1
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -53,22 +53,16 @@ class Prime(int):
 
 def valuation(n: int, p: int) -> int | float:
     """Exponent of the largest power of p dividing n. Zero gets INFINITY."""
-    if n == 0:
-        return INFINITY
-    n = abs(n)
-    if p == 2:
-        return (n & -n).bit_length() - 1
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    return INFINITY if n == 0 else split_unit(n, p)[0]
 
 
 def split_unit(n: int, p: int) -> tuple[int, int]:
     """(v, u) with n = p**v * u and p not dividing u. Requires n != 0."""
     if n == 0:
         raise ValueError("zero has no unit part")
+    if p == 2:
+        v = (n & -n).bit_length() - 1
+        return v, n >> v
     v = 0
     while n % p == 0:
         n //= p

@@ -282,7 +282,9 @@ def exclusion_certificate(f: BinaryForm, p: int,
     if verdict.dense:
         raise ValueError("quotients are dense; no exclusion certificate exists")
     r0, test, why = _obstruction(verdict, p)
-    target, radius = next(z for z in count(1) if test(z)), r0 - 1
+    # test(p) holds only on the parity leaves, where p is the least target
+    target = p if test(p) else next(z for z in count(1) if test(z))
+    radius = r0 - 1
     # a binary form's box is a single batch
     _, _, values = next(_shell_batches(f, 0, verify_bound))
     pair = _value_pair(values, p, target, 1, radius + 1)

@@ -248,3 +248,20 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "decide", "--form", "1,0,1", "--prime", "5")
     assert code == 2
     assert "internal" in err.lower()
+
+
+def test_out_of_memory_exit_code(capsys, monkeypatch):
+    import qform.cli as cli_mod
+
+    # numpy's allocation failure names the size; a bare MemoryError is empty
+    for text, shown in [("Unable to allocate 768. MiB for an array",
+                         "Unable to allocate 768. MiB for an array"),
+                        ("", "allocation failed")]:
+        def exhausted(*args):
+            raise MemoryError(text)
+
+        monkeypatch.setattr(cli_mod, "coverage", exhausted)
+        code, out, err = run(capsys, "oracle", "--form", "1,0,1", "--prime",
+                             "7", "--r", "4")
+        assert (code, out) == (1, "")
+        assert err == f"error: out of memory: {shown}\n"

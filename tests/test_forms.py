@@ -6,7 +6,7 @@ import pytest
 
 from qform import (BinaryForm, GeneralForm, InvalidFormError, arnold_compose,
                    change_variables, factor_discriminant, format_form,
-                   is_isotropic_mod_p, is_singular_mod_p, legendre,
+                   is_isotropic_mod_p, is_singular_mod_p,
                    odd_singular_reduction, parse_form, two_singular_reduction,
                    valuation)
 
@@ -107,17 +107,27 @@ def test_factor_discriminant():
     assert (fact3.k, fact3.ell) == (0, -3)
 
 
+def isotropic_by_scan(f, p):
+    """Reference for is_isotropic_mod_p: a scan of F_p x F_p for a nonzero root."""
+    a, b, c = f.a % p, f.b % p, f.c % p
+    for x in range(p):
+        base = a * x * x
+        bx = b * x
+        for y in range(p):
+            if (x or y) and (base + bx * y + c * y * y) % p == 0:
+                return True
+    return False
+
+
 def test_isotropy_matches_legendre_for_nonsingular():
-    # nonsingular mod odd p: isotropic exactly when disc is a residue
-    for p in (3, 5, 7, 11):
+    # the classical criterion against the scan, over every primitive form
+    # nonsingular over the rationals, singular mod p and p = 2 included
+    for p in (2, 3, 5, 7, 11, 13):
         for a, b, c in product(range(-6, 7), repeat=3):
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            d = b * b - 4 * a * c
-            if d == 0 or d % p == 0:
+            if gcd(gcd(a, b), c) != 1 or b * b - 4 * a * c == 0:
                 continue
             f = BinaryForm(a, b, c)
-            assert is_isotropic_mod_p(f, p) == (legendre(d, p) == 1), (f, p)
+            assert is_isotropic_mod_p(f, p) == isotropic_by_scan(f, p), (f, p)
 
 
 def test_singular_forms_are_isotropic():
