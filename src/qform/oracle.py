@@ -106,39 +106,55 @@ def _expanding_bounds(bound: int):
 
 
 def _shell_batches(f, lo: int, hi: int):
-    """(prefix, keep, values) over lattice points with lo < max|coordinate| <= hi.
+    """(prefix, keep, values) over the half shell: the lattice points with
+    lo < max|x_i| <= hi whose first nonzero coordinate is negative, and the
+    origin when lo = 0.
 
-    lo = 0 gives the whole box, origin included. prefix fixes all but the last
-    two coordinates (the only one at rank 1); values runs over those in C
-    order, restricted to the boolean mask keep unless keep is None. Together
-    the batches list the shell in itertools.product order. Values past int64
-    are exact Python ints in object arrays.
+    f(-x) = f(x), and itertools.product order reaches x before -x exactly
+    when x is in this half, so every value's first point, and the values
+    seen after each batch, are those of the whole shell. prefix fixes all
+    but the last two coordinates (the only one at rank 1); values runs over
+    those in C order, restricted to the boolean mask keep unless keep is
+    None (keep may span only the leading rows). Together the batches list
+    the half shell in product order. Values past int64 are exact Python
+    ints in object arrays.
     """
     peak = _max_abs_value(f, hi)
     dtype = (np.int32 if peak < _INT32_SAFE
              else np.int64 if peak < _INT64_SAFE else object)
     idx = np.arange(-hi, hi + 1)
     side = idx.astype(dtype)
-    outside = np.abs(idx) > lo
     if f.rank == 1:
-        keep = outside if lo else None
-        vals = _form_coeffs(f)[0] * side * side
-        yield (), keep, vals if keep is None else vals[keep]
+        # x < -lo, then the origin when lo = 0: a leading slice of the side
+        half = side[:hi - lo + (lo == 0)]
+        yield (), None, _form_coeffs(f)[0] * half * half
         return
     n = f.rank - 2
     aa, bb, cc = _form_coeffs(f)[-3:]
-    u, v = side[:, None], side[None, :]
+    # rank 2 only ever needs the rows u <= 0
+    rows = 2 * hi + 1 if n else hi + 1
+    u, v = side[:rows, None], side[None, :]
     quad = aa * u * u + bb * u * v + cc * v * v
-    inner_new = outside[:, None] | outside[None, :]
+    outside = np.abs(idx) > lo
+    inner_new = outside[:rows, None] | outside[None, :]
     for prefix in product(range(-hi, hi + 1), repeat=n):
-        vals = quad
-        if prefix:
-            lin_u = sum(f.coeff(i, n) * prefix[i] for i in range(n))
-            lin_v = sum(f.coeff(i, n + 1) * prefix[i] for i in range(n))
-            const = sum(f.coeff(i, j) * prefix[i] * prefix[j]
-                        for i in range(n) for j in range(i, n))
-            vals = quad + lin_u * u + lin_v * v + const
-        if lo and max(map(abs, prefix), default=0) <= lo:
+        if not any(prefix):
+            # the zero prefix comes last: rows u < 0, then row u = 0 up to
+            # v = 0 when lo = 0, else up to v = -lo - 1
+            half = quad[:hi + 1]
+            if not lo:
+                yield prefix, None, half.ravel()[:hi * (2 * hi + 2) + 1]
+            else:
+                keep = inner_new[:hi + 1].copy()
+                keep[hi, hi:] = False
+                yield prefix, keep, half[keep]
+            return
+        lin_u = sum(f.coeff(i, n) * prefix[i] for i in range(n))
+        lin_v = sum(f.coeff(i, n + 1) * prefix[i] for i in range(n))
+        const = sum(f.coeff(i, j) * prefix[i] * prefix[j]
+                    for i in range(n) for j in range(i, n))
+        vals = quad + lin_u * u + lin_v * v + const
+        if lo and max(map(abs, prefix)) <= lo:
             yield prefix, inner_new, vals[inner_new]
         else:
             yield prefix, None, vals.ravel()

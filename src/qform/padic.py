@@ -90,6 +90,37 @@ def legendre(a: int, p: int) -> int:
     return 1 if t == 1 else -1
 
 
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a modulo the odd prime p, or None for a nonresidue.
+
+    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 1.5.1): x**2 = a * b with b in the 2-Sylow subgroup,
+    and each step multiplies in a power of its generator z to shrink b's order.
+    """
+    a %= p
+    if legendre(a, p) == -1:
+        return None
+    if a == 0:
+        return 0
+    e, q = split_unit(p - 1, 2)
+    nonresidue = next(n for n in range(2, p) if legendre(n, p) == -1)
+    z = pow(nonresidue, q, p)
+    x = pow(a, (q + 1) // 2, p)
+    b = pow(a, q, p)
+    while b != 1:
+        # least m with b**(2**m) = 1; m < e since a is a residue
+        m, t = 0, b
+        while t != 1:
+            t = t * t % p
+            m += 1
+        t = pow(z, 1 << (e - m - 1), p)
+        z = t * t % p
+        e = m
+        x = x * t % p
+        b = b * z % p
+    return x
+
+
 def mod_inverse(a: int, m: int) -> int:
     """Inverse of a modulo m, in [1, m-1]."""
     if m < 2:

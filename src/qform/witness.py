@@ -25,7 +25,7 @@ from .forms import (BinaryForm, GeneralForm, factor_discriminant, format_form,
                     odd_singular_reduction, two_singular_reduction)
 from .oracle import (_expanding_bounds, _obstruction, _point_at,
                      _shell_batches, _value_pair)
-from .padic import INFINITY, mod_inverse, valuation
+from .padic import INFINITY, _sqrt_mod, mod_inverse, valuation
 
 DEFAULT_BUDGET = 50
 
@@ -49,9 +49,12 @@ def lift_representation(f: BinaryForm, p: int, n: int, r: int) -> tuple[int, int
     """(x, y) with f(x, y) = n mod p**r, for odd p.
 
     Needs f isotropic and nonsingular mod p; such a form represents every
-    residue. The base step scans F_p x F_p for a representative at which some
-    partial derivative is a unit; each later step corrects along that
-    direction by a multiple of p**s, which never disturbs the unit condition.
+    residue. The base step takes x = 0, 1, 2, ... and solves for y, a
+    quadratic c y**2 + b x y + a x**2 - n = 0 mod p (linear when p | c), so
+    it costs a few square roots; the first root with some partial derivative
+    a unit is the least such point in lexicographic order. Each later step
+    corrects along that direction by a multiple of p**s, which never
+    disturbs the unit condition.
     """
     if p == 2:
         raise ValueError("this lift needs an odd prime")
@@ -59,23 +62,23 @@ def lift_representation(f: BinaryForm, p: int, n: int, r: int) -> tuple[int, int
         raise ValueError("precision must be at least 1")
     if is_singular_mod_p(f, p) or not is_isotropic_mod_p(f, p):
         raise ValueError("lifting needs a form isotropic and nonsingular mod p")
-    a, b, c = f.a, f.b, f.c
-    found = None
+    a, b, c = f.a % p, f.b % p, f.c % p
     for x in range(p):
-        for y in range(p):
-            if x == 0 and y == 0:
-                continue
-            if (a * x * x + b * x * y + c * y * y - n) % p:
-                continue
+        k = (a * x * x - n) % p
+        if c:
+            s = _sqrt_mod(b * b * x * x - 4 * c * k, p)
+            ys = () if s is None else sorted(
+                {(t - b * x) * mod_inverse(2 * c, p) % p for t in (s, -s)})
+        elif x:
+            ys = (-k * mod_inverse(b * x, p) % p,)
+        else:
+            # at x = 0 the equation reads k = 0: every y is a root when p | n
+            ys = () if k else range(1, p)
+        for y in ys:
             if (2 * a * x + b * y) % p or (b * x + 2 * c * y) % p:
-                found = (x, y)
-                break
-        if found:
-            break
-    if found is None:
-        raise InternalConsistencyError(
-            f"no representative of {n} mod {p}; the form should be universal")
-    return _hensel(f, p, n, r, *found)
+                return _hensel(f, p, n, r, x, y)
+    raise InternalConsistencyError(
+        f"no representative of {n} mod {p}; the form should be universal")
 
 
 def _hensel(f: BinaryForm, p: int, n: int, r: int, x: int,
@@ -235,10 +238,13 @@ def _structured_witness(f, binary: BinaryForm, p: int, tn: int, td: int,
 
 
 def _first_point(f, value: int, bounds) -> tuple[int, ...]:
-    """First lattice point in enumeration order at which f takes value.
+    """First lattice point in itertools.product order at which f takes value.
 
-    For value 0 that is the origin only when no other point of the first box
-    has value 0: f(-x) = f(x), and one of x, -x comes before the origin.
+    The enumeration only visits the half box, the points before the origin
+    in that order, and the origin; f(-x) = f(x) and one of x, -x lies in
+    that half, so the first point of every value is still found. For value
+    0 that is the origin only when no other point of the first box has
+    value 0.
     """
     for lo, hi in bounds:
         for prefix, keep, vals in _shell_batches(f, lo, hi):

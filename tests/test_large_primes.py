@@ -1,4 +1,5 @@
-"""Large-prime tier: decide, explain and certificates at primes up to 1e18.
+"""Large-prime tier: decide, explain, certificates and dense binary
+witnesses at primes up to 1e18.
 
 Every answer is checked against a reference built on sympy's Legendre symbol,
 which shares no code with qform. The tier asserts its own wall-clock budget:
@@ -7,6 +8,7 @@ nothing on these paths may scan F_p or count up to p.
 
 import json
 import time
+from fractions import Fraction
 from itertools import count
 
 import pytest
@@ -97,6 +99,19 @@ def certificate_target(capsys, form, p):
     return payload["certificate"]["target"]
 
 
+def check_dense_witness(capsys, form, p, target, r):
+    """A lifted witness whose quotient lies within p**-r of the target."""
+    payload = json.loads(cli(capsys, "witness", "--form", form, "--prime",
+                             str(p), "--target", target, "--r", str(r)))
+    w = payload["witness"]
+    assert payload["dense"] is True and w["strategy"] == "lift", (form, p)
+    f = BinaryForm(*map(int, form.split(",")))
+    error = Fraction(f.evaluate((w["x"], w["y"])), f.evaluate((w["z"], w["w"]))) \
+        - Fraction(target)
+    assert error == 0 or sympy.multiplicity(p, error.numerator) \
+        - sympy.multiplicity(p, error.denominator) >= r, (form, p)
+
+
 def test_large_prime_tier(capsys):
     primes = seeded_primes()
     assert {p % 4 for p in primes} == {1, 3}
@@ -108,5 +123,9 @@ def test_large_prime_tier(capsys):
             assert certificate_target(capsys, "1,0,1", p) == f"{p}/1"
         assert certificate_target(capsys, f"1,0,-{p}", p) == \
             f"{least_nonresidue(p)}/1"
+    # x^2 - y^2 is isotropic and nonsingular at every odd p
+    for p in (sympy.nextprime(10 ** 6), sympy.prevprime(10 ** 18)):
+        check_dense_witness(capsys, "1,0,-1", p, "3/7", 4)
+        check_dense_witness(capsys, "2,1,-3", p, "-51/5", 3)
     elapsed = time.perf_counter() - start
     assert elapsed < BUDGET_S, f"large-prime tier took {elapsed:.2f} s"

@@ -66,20 +66,54 @@ def test_coverage_matches_bruteforce_rank3():
         assert rep.covered == quotient_residues_bruteforce(g, 2, 3, 3)
 
 
+SHELL_FORMS = (GeneralForm(1, (-1,)), BinaryForm(2, 1, -3),
+               GeneralForm(3, (1, 2, 0, -1, 1, 3)),
+               GeneralForm(4, (1, 0, 2, -1, 3, 0, 1, -2, 0, 1)),
+               BinaryForm(2**62, 1, 1))
+
+
+def half_shell_points(f, lo, hi):
+    """Points of the shell in product order: first nonzero coordinate
+    negative, or the origin."""
+    return [pt for pt in product(range(-hi, hi + 1), repeat=f.rank)
+            if (lo == 0 or max(map(abs, pt)) > lo)
+            and next((t < 0 for t in pt if t), True)]
+
+
+def shell_points(f, lo, hi):
+    """(points, values) as _shell_batches lists them."""
+    points, values = [], []
+    for prefix, keep, vals in _shell_batches(f, lo, hi):
+        points += [_point_at(f, hi, prefix, keep, i) for i in range(len(vals))]
+        values += vals.tolist()
+    return points, values
+
+
 def test_shell_batches_follow_product_order():
-    forms = (GeneralForm(1, (-1,)), BinaryForm(2, 1, -3),
-             GeneralForm(3, (1, 2, 0, -1, 1, 3)), BinaryForm(2**62, 1, 1))
-    for f in forms:
-        for lo, hi in ((0, 2), (2, 3)):
-            want = [pt for pt in product(range(-hi, hi + 1), repeat=f.rank)
-                    if lo == 0 or max(map(abs, pt)) > lo]
-            points, values = [], []
-            for prefix, keep, vals in _shell_batches(f, lo, hi):
-                points += [_point_at(f, hi, prefix, keep, i)
-                           for i in range(len(vals))]
-                values += vals.tolist()
+    for f in SHELL_FORMS:
+        for lo, hi in ((0, 2), (2, 3), (1, 4)):
+            want = half_shell_points(f, lo, hi)
+            points, values = shell_points(f, lo, hi)
             assert points == want, (f, lo, hi)
             assert values == [f.evaluate(pt) for pt in want], (f, lo, hi)
+
+
+def test_half_shell_and_its_negation_are_the_shell():
+    for f in SHELL_FORMS:
+        for lo, hi in ((0, 2), (2, 3)):
+            half, _ = shell_points(f, lo, hi)
+            whole = {pt for pt in product(range(-hi, hi + 1), repeat=f.rank)
+                     if lo == 0 or max(map(abs, pt)) > lo}
+            negated = {tuple(-t for t in pt) for pt in half}
+            assert set(half) | negated == whole, (f, lo, hi)
+            assert len(half) == (len(whole) + (lo == 0)) // 2, (f, lo, hi)
+
+
+def test_binary_box_is_one_batch():
+    # exclusion_certificate reads a binary box from the first batch alone
+    for f in (BinaryForm(1, 0, 1), BinaryForm(2**62, 1, 1)):
+        for hi in (1, 5):
+            assert len(list(_shell_batches(f, 0, hi))) == 1
 
 
 def test_coverage_examples():

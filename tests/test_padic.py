@@ -5,6 +5,7 @@ import pytest
 
 from qform import (INFINITY, Prime, is_prime, is_square_in_qp, legendre,
                    mod_inverse, split_unit, valuation, valuation_rational)
+from qform.padic import _sqrt_mod
 
 rng = random.Random(0x5eed)
 
@@ -113,6 +114,32 @@ def test_legendre_multiplicative():
         a = rng.randint(-500, 500)
         b = rng.randint(-500, 500)
         assert legendre(a * b, p) == legendre(a, p) * legendre(b, p)
+
+
+def test_sqrt_mod_matches_bruteforce():
+    # 17, 97 and 257 have p - 1 divisible by 2**4, 2**5 and 2**8
+    for p in (3, 5, 7, 11, 13, 17, 97, 257):
+        roots = {}
+        for x in range(p):
+            roots.setdefault(x * x % p, set()).add(x)
+        for a in range(-p, 2 * p):
+            s = _sqrt_mod(a, p)
+            if a % p in roots:
+                assert s in roots[a % p], (a, p)
+            else:
+                assert s is None, (a, p)
+
+
+def test_sqrt_mod_large_primes():
+    # 2**61 - 1, a prime just below 1e18, and 15 * 2**27 + 1 (p - 1 has 2**27)
+    for p in (2**61 - 1, 999999999999999989, 15 * 2**27 + 1):
+        for _ in range(100):
+            a = rng.randrange(p)
+            s = _sqrt_mod(a, p)
+            if legendre(a, p) == -1:
+                assert s is None
+            else:
+                assert s * s % p == a
 
 
 def test_mod_inverse():

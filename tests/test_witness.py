@@ -67,6 +67,31 @@ def test_lift_representation_random():
         assert_valid_lift(f, p, n, r, pt)
 
 
+def base_point_by_scan(f, p, n):
+    """Reference: the least (x, y) in F_p x F_p, lexicographically, with
+    f(x, y) = n mod p and some partial derivative a unit."""
+    a, b, c = f.a, f.b, f.c
+    for x, y in product(range(p), repeat=2):
+        if (a * x * x + b * x * y + c * y * y - n) % p == 0 and \
+                ((2 * a * x + b * y) % p or (b * x + 2 * c * y) % p):
+            return x, y
+    return None
+
+
+def test_lift_base_point_matches_scan():
+    # at r = 1 the lift is its base point; p | a, p | c and p | n included
+    for p in (3, 5, 7, 11, 13):
+        for a, b, c in product((*range(-4, 5), p, -2 * p), repeat=3):
+            if gcd(gcd(a, b), c) != 1 or (b * b - 4 * a * c) % p == 0:
+                continue
+            f = BinaryForm(a, b, c)
+            if not decide(f, Prime(p)).dense:
+                continue
+            for n in range(-1, p + 1):
+                assert lift_representation(f, p, n, 1) == \
+                    base_point_by_scan(f, p, n), (a, b, c, p, n)
+
+
 def test_lift_representation_rejects():
     with pytest.raises(ValueError):
         lift_representation(BinaryForm(1, 0, 1), 3, 1, 2)   # anisotropic mod 3
