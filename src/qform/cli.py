@@ -8,6 +8,7 @@ other or with the oracle), which always means a bug rather than bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -63,7 +64,11 @@ def _add_form_arguments(sp, with_prime=True):
                     help="human readable text instead of JSON")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qform parser, built on first use and shared by every later call,
+    so callers must not change it. parse_args puts its results in a fresh
+    namespace, so nothing carries over from one call to the next."""
     parser = _Parser(prog="qform",
                      description="Density of quadratic form quotient sets "
                                  "in the p-adic numbers.")
@@ -255,11 +260,18 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"cannot read config: {exc}") from exc
     results = []
     all_passed = True
+    bad_lines = False
     for lineno, line in enumerate(raw, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        f, p = _parse_sweep_line(line, lineno)
+        try:
+            f, p = _parse_sweep_line(line, lineno)
+        except UsageError as exc:
+            # report the bad line and go on with the others
+            print(f"error: {exc}", file=sys.stderr)
+            bad_lines = True
+            continue
         report = cross_check(f, p, args.r, _coverage_bound(args, p))
         results.append(report)
         all_passed = all_passed and report.passed
@@ -274,14 +286,20 @@ def _cmd_sweep(args) -> int:
             f"{'ok' if rep.passed else 'FAIL'}")
     plain_lines.append("all passed" if all_passed else "CROSS-CHECK FAILED")
     _emit(args, payload, "\n".join(plain_lines))
-    return 0 if all_passed else 2
+    # a failed cross-check is a bug and outranks a bad line
+    if not all_passed:
+        return 2
+    return 1 if bad_lines else 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_signed_values(
+        args = build_parser().parse_args(_attach_signed_values(
             sys.argv[1:] if argv is None else list(argv)))
+        # argparse drops the value "--" of "--name=--" and stores a list
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                raise UsageError(f"argument --{name}: expected one argument")
         if getattr(args, "r", 1) < 1:
             raise UsageError("--r must be at least 1")
         if getattr(args, "bound", None) is not None and args.bound < 1:

@@ -168,6 +168,18 @@ def _point_at(f, hi: int, prefix: tuple, keep, i: int) -> tuple[int, ...]:
     return prefix + tuple(int(t) - hi for t in np.unravel_index(i, shape))
 
 
+def _distinct(values) -> np.ndarray:
+    """The sorted distinct entries of values, flattened, like np.unique.
+
+    A sort and a neighbour mask: numpy's np.unique takes a hash path on
+    integer arrays that is many times slower than this.
+    """
+    flat = np.sort(values, axis=None)
+    if not flat.size:
+        return flat
+    return flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+
+
 def _value_pair(values, p: int, tn: int, td: int, r: int):
     """First value pair (N, D) whose quotient is within p**-r of tn/td, or None.
 
@@ -175,7 +187,7 @@ def _value_pair(values, p: int, tn: int, td: int, r: int):
     N*td = tn*D mod p**(r + v(D) + v(td)). Dividing out p**v(td) leaves one
     congruence mod p**(r + s) per valuation class s of denominators.
     """
-    nums = np.unique(values)
+    nums = _distinct(values)
     dens = nums[nums != 0]
     vals = np.zeros(dens.size, dtype=np.int64)
     cur = dens.copy()
@@ -186,7 +198,7 @@ def _value_pair(values, p: int, tn: int, td: int, r: int):
         mask = cur % p == 0
     g = int(valuation(td, p))
     found = []
-    for s in np.unique(vals).tolist():
+    for s in np.flatnonzero(np.bincount(vals)).tolist():
         if tn and s < g:
             continue
         m = p ** (r + s)

@@ -23,11 +23,14 @@ from .errors import BudgetExceededError, InternalConsistencyError
 from .forms import (BinaryForm, GeneralForm, factor_discriminant, format_form,
                     is_isotropic_mod_p, is_singular_mod_p,
                     odd_singular_reduction, two_singular_reduction)
-from .oracle import (_expanding_bounds, _obstruction, _point_at,
+from .oracle import (_distinct, _expanding_bounds, _obstruction, _point_at,
                      _shell_batches, _value_pair)
 from .padic import INFINITY, _sqrt_mod, mod_inverse, valuation
 
 DEFAULT_BUDGET = 50
+# batch entries the enumeration witness holds before merging them into its
+# value set; a shell is merged once, or every this many entries
+_FOLD_ENTRIES = 2 ** 20
 
 
 def quotient_error_valuation(num_value: int, den_value: int,
@@ -262,8 +265,15 @@ def _enumeration_witness(f, p: int, tn: int, td: int, r: int,
     bounds = list(_expanding_bounds(limit))
     values = np.zeros(0, dtype=np.int64)
     for lo, hi in bounds:
+        pending, size = [], 0
         for _, _, batch in _shell_batches(f, lo, hi):
-            values = np.union1d(values, batch)
+            pending.append(batch)
+            size += batch.size
+            if size >= _FOLD_ENTRIES:
+                pending, size = [_distinct(np.concatenate(pending))], 0
+        # fold the shell in its own dtype before widening it to the values'
+        shell = _distinct(np.concatenate(pending))
+        values = _distinct(np.concatenate([values, shell]))
         pair = _value_pair(values, p, tn, td, r)
         if pair is not None:
             num, den = (_first_point(f, v, bounds) for v in pair)

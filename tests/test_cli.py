@@ -1,9 +1,14 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qform.witness as witness_mod
 from qform import valuation_rational
-from qform.cli import main
+from qform.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -185,6 +190,32 @@ def test_sweep_plain(capsys, tmp_path):
     assert "all passed" in out
 
 
+def test_sweep_reports_bad_line_and_goes_on(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "forms.cfg"
+    cfg.write_text("1,0,1 5\n"
+                   "1,0,1 6\n"
+                   "1,0,1 3\n")
+    code, out, err = run(capsys, "sweep", "--config", str(cfg), "--r", "2")
+    assert code == 1
+    assert err == "error: config line 2: 6 is not a prime number\n"
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert [row["p"] for row in payload["results"]] == [5, 3]
+
+    # a failed cross-check still sets the exit code
+    import qform.oracle as oracle_mod
+
+    class FakeVerdict:
+        dense = True
+        theorem_tag = "isotropic-nonsingular"
+
+    monkeypatch.setattr(oracle_mod, "decide", lambda f, p: FakeVerdict())
+    code, out, err = run(capsys, "sweep", "--config", str(cfg), "--r", "2")
+    assert code == 2
+    assert err == "error: config line 2: 6 is not a prime number\n"
+    assert json.loads(out)["passed"] is False
+
+
 def test_sweep_reports_internal_failure(capsys, tmp_path, monkeypatch):
     # forge a disagreement: make the decider claim density for everything
     import qform.oracle as oracle_mod
@@ -218,6 +249,10 @@ def test_usage_errors(capsys):
          "--target", "1/0"),
         ("oracle", "--form", "1,0,1", "--prime", "3", "--r", "0"),
         ("sweep", "--config", "/nonexistent/path.cfg"),
+        # argparse drops the value of "--name=--"
+        ("decide", "--form", "1,0,1", "--prime=--"),
+        ("witness", "--form", "1,0,1", "--prime", "5", "--target=--"),
+        ("sweep", "--config=--"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -265,3 +300,67 @@ def test_out_of_memory_exit_code(capsys, monkeypatch):
                              "7", "--r", "4")
         assert (code, out) == (1, "")
         assert err == f"error: out of memory: {shown}\n"
+
+
+def test_parser_is_built_once(capsys):
+    assert build_parser() is build_parser()
+    # nothing carries over from one call to the next
+    argv = ("oracle", "--form", "1,0,1", "--prime", "3")
+    assert run_json(capsys, *argv, "--bound", "3")["report"]["bound"] == 3
+    assert run_json(capsys, *argv)["report"]["bound"] == 30
+    argv = ("witness", "--form", "1,0,1", "--prime", "3")
+    code, out, _ = run(capsys, *argv, "--plain")
+    assert code == 0 and out.startswith("target: 3/1\nradius_exp: 1\n")
+    assert run_json(capsys, *argv)["certificate"]["target"] == "3/1"
+
+
+# fuzzed argv: forms of rank 1 or 2 only (no value has six coefficients),
+# every --bound at most 60 and every prime below 10**6, so that no call
+# enumerates a large box
+_FUZZ_OPTIONS = ("--form", "--rank", "--coeffs", "--prime", "--plain",
+                 "--target", "--r", "--bound", "--help")
+_small_ints = st.integers(-3, 60).map(str)
+_forms = st.tuples(*[st.integers(-9, 9)] * 3).map(
+    lambda c: ",".join(map(str, c)))
+_rationals = st.tuples(st.integers(-99, 99), st.integers(-9, 30)).map(
+    lambda t: f"{t[0]}/{t[1]}")
+_junk = st.sampled_from(["", " ", "x", "1,2", "1,,2", "2;", "2; 1,0,1",
+                         "nan", "inf", "1e3", "0x1f", "--", "-", "-x",
+                         "1/2/3", "decide", "explain", "witness", "=",
+                         "\u0663", "1,0,1,0"])
+_values = st.one_of(_small_ints, _forms, _rationals, _junk)
+_primes = st.sampled_from([2, 3, 5, 7, 11, 13, 353, 1019, 65537, 999983,
+                           999981, 1, 0, -7]).map(str)
+# a request that is often well formed: a form and a prime, some of the
+# other options, in any order
+_request = st.fixed_dictionaries(
+    {"--form": _forms, "--prime": _primes},
+    optional={"--target": _rationals, "--r": st.integers(-1, 12).map(str),
+              "--bound": st.integers(-1, 60).map(str)},
+).flatmap(lambda d: st.permutations(list(d.items())))
+# noise: a prime appears only right after --prime, so it can never be read
+# as a --bound or an --r
+_option = st.sampled_from(_FUZZ_OPTIONS)
+_noise = st.one_of(
+    st.tuples(_option, _values),
+    _option.map(lambda o: (o,)),
+    _values.map(lambda v: (v,)),
+    _primes.map(lambda v: ("--prime", v)),
+    st.tuples(_option, _values).map(lambda t: (f"{t[0]}={t[1]}",)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["decide", "explain", "witness"]),
+       st.one_of(_request, st.just([])),
+       st.one_of(st.just([]), st.lists(_noise, max_size=4)), st.booleans())
+def test_fuzzed_argv_exits_cleanly(command, request, noise, noise_first):
+    chunks = noise + request if noise_first else request + noise
+    argv = [command] + [token for chunk in chunks for token in chunk]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 0 and "--help" in argv, argv
+            return
+    assert code in (0, 1, 2), argv

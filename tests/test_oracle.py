@@ -2,11 +2,12 @@ import random
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 
 from qform import (BinaryForm, GeneralForm, Prime, coverage, cross_check,
                    decide, excluded_classes, valuation)
-from qform.oracle import _ResidueTracker, _point_at, _shell_batches
+from qform.oracle import _ResidueTracker, _distinct, _point_at, _shell_batches
 
 rng = random.Random(0x0c1e)
 
@@ -259,3 +260,20 @@ def test_cross_check_json():
     assert d["form"] == "1,0,1"
     assert d["passed"] is True
     assert d["coverage"]["p"] == 3
+
+
+def test_distinct_matches_unique():
+    rand = np.random.default_rng(0x0c1e)
+    cases = [
+        rand.integers(-50, 50, 500).astype(np.int32),
+        rand.integers(-2**40, 2**40, 500),
+        # exact Python ints past 2**62 in an object array
+        np.array([2**63 + 5, 3, -(2**70), 3, 2**63 + 5, 0, 2**62], dtype=object),
+        np.zeros(0, dtype=np.int32),
+        np.zeros(0, dtype=object),
+        rand.integers(-5, 5, (7, 9)),
+    ]
+    for values in cases:
+        got, want = _distinct(values), np.unique(values)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()

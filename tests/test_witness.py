@@ -211,7 +211,7 @@ def test_approximate_quotient_rank_three():
     assert_witness_hits(h, 3, w2, 2, 5, 2)
 
 
-def test_enumeration_witness_points_are_pinned():
+def test_enumeration_witness_points_are_pinned(monkeypatch):
     # denominators by (|D|, D), least numerator, first point of each value in
     # itertools.product order; the origin stands for 0 only when no other
     # point of the first box is isotropic
@@ -227,6 +227,13 @@ def test_enumeration_witness_points_are_pinned():
     for g, p, tn, td, r, num, den in cases:
         w = approximate_quotient(g, Prime(p), tn, td, r)
         assert (w.num_point, w.den_point) == (num, den), (g.coeffs, p, tn, td)
+    # merging the value set after every batch, or every 37 entries, finds
+    # the same points as merging once per shell
+    for fold in (1, 37):
+        monkeypatch.setattr(witness_mod, "_FOLD_ENTRIES", fold)
+        for g, p, tn, td, r, num, den in cases:
+            w = approximate_quotient(g, Prime(p), tn, td, r)
+            assert (w.num_point, w.den_point) == (num, den), (fold, g.coeffs)
 
 
 def test_structured_witness_points_are_pinned():
