@@ -23,6 +23,8 @@ from .padic import legendre, mod_inverse, valuation
 # beyond this, box values may not fit int64 and enumeration uses object arrays
 _INT64_SAFE = 2 ** 62
 _INT32_SAFE = 2 ** 31
+# coverage builds a set of every residue mod p**r; at 2**24 it peaks near 2.5 GB
+_MAX_MODULUS = 2 ** 24
 
 
 def _form_coeffs(f) -> tuple[int, ...]:
@@ -185,36 +187,48 @@ def _value_pair(values, p: int, tn: int, td: int, r: int):
 
     Denominators go by (|D|, D), and each takes the least numerator N with
     N*td = tn*D mod p**(r + v(D) + v(td)). Dividing out p**v(td) leaves one
-    congruence mod p**(r + s) per valuation class s of denominators.
+    congruence mod p**(r + s) per valuation class s of denominators. Its
+    numerators all have valuation t = v(tn) + s - v(td) when t < r + s, else
+    they are 0 and the values of valuation >= r + s, so each class sorts
+    only that bucket of the sorted distinct values.
     """
     nums = _distinct(values)
-    dens = nums[nums != 0]
-    vals = np.zeros(dens.size, dtype=np.int64)
-    cur = dens.copy()
-    mask = cur % p == 0
-    while mask.any():
-        vals[mask] += 1
-        cur[mask] //= p
-        mask = cur % p == 0
+    if nums.dtype != object and p > np.iinfo(nums.dtype).max:
+        # NumPy 2 refuses a Python int outside the array's dtype
+        nums = nums.astype(np.int64 if p < _INT64_SAFE else object)
+    # valuations by a shrinking peel; 0 joins every bucket of valuation >= r + s
+    zero = nums == 0
+    vals = np.where(zero, _INT64_SAFE, 0)
+    idx = np.flatnonzero(~zero)
+    cur = nums[idx]
+    while cur.size:
+        q = cur // p
+        hit = q * p == cur
+        idx, cur = idx[hit], q[hit]
+        vals[idx] += 1
     g = int(valuation(td, p))
+    shift = valuation(tn, p) - g
     found = []
-    for s in np.flatnonzero(np.bincount(vals)).tolist():
+    for s in np.flatnonzero(np.bincount(vals[~zero])).tolist():
         if tn and s < g:
             continue
         m = p ** (r + s)
+        bucket = nums[vals == s + shift] if shift < r else nums[vals >= r + s]
+        if not bucket.size:
+            continue
         # products of two residues stay below m**2, inside int64 for m < 2**31
         dtype = object if nums.dtype == object or m >= _INT32_SAFE else np.int64
-        cls = dens[vals == s].astype(dtype)
+        cls = nums[vals == s].astype(dtype)
         inv = mod_inverse(td // p ** g, m)
         want = (tn % m) * (cls // p ** g % m) % m * inv % m
-        residues, first = np.unique(nums.astype(dtype) % m, return_index=True)
+        residues, first = np.unique(bucket.astype(dtype) % m, return_index=True)
         pos = np.minimum(np.searchsorted(residues, want), residues.size - 1)
         hits = np.flatnonzero(residues[pos] == want)
         if hits.size:
             # 2|D| + (D > 0) orders denominators by (|D|, D)
             j = hits[np.argmin(2 * np.abs(cls[hits]) + (cls[hits] > 0))]
             d = int(cls[j])
-            found.append((abs(d), d, int(nums[first[pos[j]]])))
+            found.append((abs(d), d, int(bucket[first[pos[j]]])))
     if not found:
         return None
     _, d, n = min(found)
@@ -248,6 +262,11 @@ def coverage(f, p: int, r: int, bound: int) -> CoverageReport:
         raise ValueError("precision must be at least 1")
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    # p >= 2, so a large r is over the limit without computing p**r
+    if r >= _MAX_MODULUS.bit_length() or p ** r > _MAX_MODULUS:
+        modulus = p ** r if r < _MAX_MODULUS.bit_length() else f"{p}**{r}"
+        raise ValueError(f"coverage lists every residue mod p**r, and p={p}, "
+                         f"r={r} gives p**r = {modulus}, past 2**24")
     tracker = _ResidueTracker(p, r)
     batches = (batch for lo, hi in _expanding_bounds(bound)
                for _, _, batch in _shell_batches(f, lo, hi))

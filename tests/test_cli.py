@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -164,6 +165,17 @@ def test_oracle_report(capsys):
     rep = payload["report"]
     assert rep["missing"] == [3, 6]
     assert rep["covered_count"] == 7
+
+
+def test_oracle_refuses_modulus_past_limit(capsys):
+    # coverage lists every residue mod p**r: 10**12 of them is refused up front
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "--form", "1,0,1", "--prime",
+                         "1000003", "--r", "2", "--bound", "5")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "p=1000003, r=2 gives p**r = 1000006000009" in err
 
 
 def test_sweep(capsys, tmp_path):

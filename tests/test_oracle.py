@@ -4,10 +4,13 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qform import (BinaryForm, GeneralForm, Prime, coverage, cross_check,
                    decide, excluded_classes, valuation)
-from qform.oracle import _ResidueTracker, _distinct, _point_at, _shell_batches
+from qform.oracle import (_ResidueTracker, _distinct, _point_at, _shell_batches,
+                          _value_pair)
 
 rng = random.Random(0x0c1e)
 
@@ -162,6 +165,14 @@ def test_coverage_rejects_bad_arguments():
         coverage(BinaryForm(1, 0, 1), Prime(3), 0, 10)
     with pytest.raises(ValueError):
         coverage(BinaryForm(1, 0, 1), Prime(3), 1, 0)
+    # more than 2**24 residues is refused before enumerating, also for a
+    # plain int past int32 and for an r too large to compute p**r
+    for p, r, modulus in [(Prime(4099), 2, "16801801"),
+                          (2 ** 31 + 11, 1, "2147483659"),
+                          (3, 10 ** 9, "3**1000000000")]:
+        with pytest.raises(ValueError) as info:
+            coverage(BinaryForm(1, 0, 1), p, r, 5)
+        assert f"p={p}, r={r} gives p**r = {modulus}," in str(info.value)
 
 
 def test_tracker_equivalent_to_pairing():
@@ -277,3 +288,39 @@ def test_distinct_matches_unique():
         got, want = _distinct(values), np.unique(values)
         assert got.dtype == want.dtype
         assert got.tolist() == want.tolist()
+
+
+def value_pair_reference(values, p, tn, td, r):
+    """_value_pair read off its docstring: denominators by (|D|, D), the
+    first with some N where N*td = tn*D mod p**(r + v(D) + v(td)), and the
+    least such N."""
+    distinct = sorted({int(v) for v in np.ravel(values)})
+    for d in sorted((v for v in distinct if v), key=lambda v: (abs(v), v)):
+        m = p ** (r + valuation(d, p) + valuation(td, p))
+        for n in distinct:
+            if (n * td - tn * d) % m == 0:
+                return n, d
+    return None
+
+
+@st.composite
+def value_pair_cases(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    # unit parts times p**k: int32 boxes, int64, and object past 2**62
+    dtype, top = draw(st.sampled_from(
+        ((np.int32, 1000), (np.int64, 2 ** 40), (object, 2 ** 70))))
+    units = st.one_of(st.integers(-9, 9), st.integers(-top, top))
+    values = [u * p ** k for u, k in draw(st.lists(
+        st.tuples(units, st.integers(0, 6)), max_size=40))]
+    tn = draw(st.one_of(st.just(0), st.integers(-10 ** 4, 10 ** 4)))
+    td = draw(st.integers(1, 50)) * p ** draw(st.integers(0, 3))
+    # callers pass a nonzero target in lowest terms; 0 keeps any td
+    g = gcd(tn, td) if tn else 1
+    return (np.array(values, dtype=dtype), p, tn // g, td // g,
+            draw(st.integers(1, 4)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(value_pair_cases())
+def test_value_pair_matches_reference(case):
+    assert _value_pair(*case) == value_pair_reference(*case)

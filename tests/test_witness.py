@@ -392,6 +392,14 @@ def test_exclusion_certificate_random():
         certificate_holds_bruteforce(f, p, cert, 15)
 
 
+def test_exclusion_certificate_plain_int_prime():
+    # a plain int prime past the box's dtype gives the Prime's certificate
+    for coeffs, p in [((1, 0, 1), 2147483659),
+                      ((1, 0, 3), 18446744073709551629)]:
+        f = BinaryForm(*coeffs)
+        assert exclusion_certificate(f, p) == exclusion_certificate(f, Prime(p))
+
+
 def test_exclusion_certificate_refuted(monkeypatch):
     # plant a false claim: 1 is a square, so quotients come within 3**-1 of it;
     # the first denominator is 1 and the least numerator 1 mod 9 is -71
