@@ -10,42 +10,37 @@ from .decide import (ALL_TREE_LEAVES, LEAF_ANISOTROPIC, LEAF_NONSINGULAR,
                      LEAF_ODD_K_ODD, LEAF_ODD_NONRESIDUE, LEAF_ODD_RESIDUE,
                      LEAF_TWO_K_ODD, LEAF_TWO_UNIT_NONSQUARE,
                      LEAF_TWO_UNIT_SQUARE, TAG_RANK_HIGH, TAG_RANK_ONE,
-                     TAG_SQUARE_CLASS, PathNode, Verdict,
-                     decide, decide_binary_squareclass, decide_binary_tree,
-                     decide_checked, decide_general)
+                     TAG_SQUARE_CLASS, Verdict, decide,
+                     decide_binary_squareclass, decide_binary_tree)
 from .errors import BudgetExceededError, InternalConsistencyError
-from .forms import (BinaryForm, DiscFactorization, GeneralForm,
-                    InvalidFormError, SingularReduction, arnold_compose,
+from .forms import (BinaryForm, GeneralForm, InvalidFormError, arnold_compose,
                     change_variables, factor_discriminant, format_form,
                     is_isotropic_mod_p, is_singular_mod_p,
                     odd_singular_reduction, parse_form, two_singular_reduction)
 from .oracle import (CoverageReport, CrossCheckReport, coverage, cross_check,
                      excluded_classes)
 from .padic import (INFINITY, Prime, is_prime, is_square_in_qp, legendre,
-                    mod_inverse, split_unit, valuation, valuation_rational)
-from .witness import (DEFAULT_BUDGET, ExclusionCertificate, Witness,
-                      approximate_quotient, exclusion_certificate,
-                      lift_representation, lift_representation_two,
-                      quotient_error_valuation)
+                    mod_inverse, split_unit, valuation)
+from .witness import (ExclusionCertificate, Witness, approximate_quotient,
+                      exclusion_certificate, lift_representation,
+                      lift_representation_two, quotient_error_valuation)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALL_TREE_LEAVES", "BinaryForm", "BudgetExceededError", "CoverageReport",
-    "CrossCheckReport", "DEFAULT_BUDGET", "DiscFactorization",
-    "ExclusionCertificate", "GeneralForm", "INFINITY",
+    "CrossCheckReport", "ExclusionCertificate", "GeneralForm", "INFINITY",
     "InternalConsistencyError", "InvalidFormError", "LEAF_ANISOTROPIC",
     "LEAF_NONSINGULAR", "LEAF_ODD_K_ODD", "LEAF_ODD_NONRESIDUE",
     "LEAF_ODD_RESIDUE", "LEAF_TWO_K_ODD", "LEAF_TWO_UNIT_NONSQUARE",
-    "LEAF_TWO_UNIT_SQUARE", "PathNode", "Prime", "SingularReduction",
-    "TAG_RANK_HIGH", "TAG_RANK_ONE", "TAG_SQUARE_CLASS", "Verdict", "Witness",
-    "approximate_quotient",
+    "LEAF_TWO_UNIT_SQUARE", "Prime", "TAG_RANK_HIGH", "TAG_RANK_ONE",
+    "TAG_SQUARE_CLASS", "Verdict", "Witness", "approximate_quotient",
     "arnold_compose", "change_variables", "coverage", "cross_check", "decide",
-    "decide_binary_squareclass", "decide_binary_tree", "decide_checked",
-    "decide_general", "excluded_classes", "exclusion_certificate",
-    "factor_discriminant", "format_form", "is_isotropic_mod_p", "is_prime",
-    "is_singular_mod_p", "is_square_in_qp", "legendre",
-    "lift_representation", "lift_representation_two", "mod_inverse",
-    "odd_singular_reduction", "parse_form", "quotient_error_valuation",
-    "split_unit", "two_singular_reduction", "valuation", "valuation_rational",
+    "decide_binary_squareclass", "decide_binary_tree", "excluded_classes",
+    "exclusion_certificate", "factor_discriminant", "format_form",
+    "is_isotropic_mod_p", "is_prime", "is_singular_mod_p", "is_square_in_qp",
+    "legendre", "lift_representation", "lift_representation_two",
+    "mod_inverse", "odd_singular_reduction", "parse_form",
+    "quotient_error_valuation", "split_unit", "two_singular_reduction",
+    "valuation",
 ]

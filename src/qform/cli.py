@@ -16,8 +16,9 @@ from fractions import Fraction
 
 from .decide import decide
 from .errors import BudgetExceededError, InternalConsistencyError
-from .forms import BinaryForm, GeneralForm, InvalidFormError, format_form, parse_form
-from .oracle import COVERAGE_BOUND_FACTOR, coverage, cross_check
+from .forms import InvalidFormError, format_form, parse_form
+from .oracle import (COVERAGE_BOUND_FACTOR, coverage, coverage_modulus,
+                     cross_check)
 from .padic import Prime
 from .witness import DEFAULT_BUDGET, approximate_quotient, exclusion_certificate
 
@@ -201,8 +202,8 @@ def _witness_budget(args) -> int:
 
 def _coverage_bound(args, p: Prime) -> int:
     """The oracle box: --bound, else COVERAGE_BOUND_FACTOR * p**r."""
-    return COVERAGE_BOUND_FACTOR * int(p) ** args.r if args.bound is None \
-        else args.bound
+    return COVERAGE_BOUND_FACTOR * coverage_modulus(int(p), args.r) \
+        if args.bound is None else args.bound
 
 
 def _cmd_witness(args) -> int:
@@ -218,13 +219,12 @@ def _cmd_witness(args) -> int:
         key, evidence = "witness", approximate_quotient(
             f, p, target.numerator, target.denominator, args.r, budget=budget)
     else:
-        if not isinstance(f, BinaryForm) and f.rank != 2:
+        if f.rank != 2:
             raise UsageError("exclusion certificates are built for binary "
                              "forms; this form is not dense but has rank "
                              f"{f.rank}")
-        binary = f if isinstance(f, BinaryForm) else f.to_binary()
         key, evidence = "certificate", exclusion_certificate(
-            binary, p, verify_bound=budget)
+            f.to_binary(), p, verify_bound=budget)
     _emit_record(args, {"form": format_form(f), "prime": int(p),
                         "dense": verdict.dense}, key, evidence.to_json_dict())
     return 0

@@ -3,7 +3,9 @@
 Two independent routes for binary forms: an eight-leaf decision tree driven by
 local isotropy and the discriminant factorization, and a one-step square-class
 criterion (dense exactly when the discriminant is a p-adic square). They must
-always agree; decide_checked runs both and raises if they ever differ.
+always agree. decide is the entry point for every rank: it runs both on a
+rank-2 form and raises if they ever differ; rank 1 is never dense and rank
+>= 3 always is.
 """
 
 from __future__ import annotations
@@ -131,33 +133,21 @@ def decide_binary_squareclass(f: BinaryForm, p: int) -> Verdict:
     return _leaf(dense, TAG_SQUARE_CLASS, path, fact)
 
 
-def decide_checked(f: BinaryForm, p: int) -> Verdict:
-    """Run both binary deciders; raise if they disagree, return the tree verdict."""
-    tree = decide_binary_tree(f, p)
-    square = decide_binary_squareclass(f, p)
-    if tree.dense != square.dense:
-        raise InternalConsistencyError(
-            f"deciders disagree on form {format_form(f)} at p={p}: "
-            f"tree says dense={tree.dense} via {tree.theorem_tag}, "
-            f"square-class says dense={square.dense}")
-    return tree
-
-
-def decide_general(f: GeneralForm, p: int) -> Verdict:
-    """Decide any rank: rank 1 never dense, rank 2 cross-checked, rank >= 3 dense."""
-    if f.rank >= 3:
-        path = [PathNode("rank", f"Is the rank {f.rank} at least 3?", "yes")]
-        return _leaf(True, TAG_RANK_HIGH, path, None)
+def decide(f: BinaryForm | GeneralForm, p: int) -> Verdict:
+    """Decide any form by its rank: 1 never dense, >= 3 always dense, 2 by
+    both binary deciders on f.to_binary(), which must agree (tree verdict)."""
     if f.rank == 2:
-        return decide_checked(f.to_binary(), p)
+        binary = f.to_binary()
+        tree = decide_binary_tree(binary, p)
+        square = decide_binary_squareclass(binary, p)
+        if tree.dense != square.dense:
+            raise InternalConsistencyError(
+                f"deciders disagree on form {format_form(binary)} at p={p}: "
+                f"tree says dense={tree.dense} via {tree.theorem_tag}, "
+                f"square-class says dense={square.dense}")
+        return tree
     # rank 1: values are a*x^2, so quotients are exactly the rational squares,
     # which miss entire square classes of the p-adic numbers
-    path = [PathNode("rank", f"Is the rank {f.rank} at least 3?", "no")]
-    return _leaf(False, TAG_RANK_ONE, path, None)
-
-
-def decide(f: BinaryForm | GeneralForm, p: int) -> Verdict:
-    """Front door: binary forms cross-checked, every other form by its rank."""
-    if isinstance(f, BinaryForm):
-        return decide_checked(f, p)
-    return decide_general(f, p)
+    dense = f.rank >= 3
+    path = [PathNode("rank", f"Is the rank {f.rank} at least 3?", _yn(dense))]
+    return _leaf(dense, TAG_RANK_HIGH if dense else TAG_RANK_ONE, path, None)

@@ -47,6 +47,13 @@ class BinaryForm:
         x, y = point
         return self.a * x * x + self.b * x * y + self.c * y * y
 
+    @property
+    def coeffs(self) -> tuple[int, int, int]:
+        return self.a, self.b, self.c
+
+    def to_binary(self) -> "BinaryForm":
+        return self
+
     def swapped(self) -> "BinaryForm":
         """The form with outer coefficients exchanged; same values, via (x,y) -> (y,x)."""
         return BinaryForm(self.c, self.b, self.a)

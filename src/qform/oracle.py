@@ -17,7 +17,7 @@ import numpy as np
 from .decide import (LEAF_ANISOTROPIC, LEAF_ODD_K_ODD, LEAF_ODD_NONRESIDUE,
                      LEAF_TWO_K_ODD, LEAF_TWO_UNIT_NONSQUARE, TAG_RANK_ONE,
                      Verdict, decide)
-from .forms import BinaryForm, GeneralForm, format_form
+from .forms import format_form
 from .padic import legendre, mod_inverse, valuation
 
 # beyond this, box values may not fit int64 and enumeration uses object arrays
@@ -27,15 +27,9 @@ _INT32_SAFE = 2 ** 31
 _MAX_MODULUS = 2 ** 24
 
 
-def _form_coeffs(f) -> tuple[int, ...]:
-    if isinstance(f, BinaryForm):
-        return f.a, f.b, f.c
-    return f.coeffs
-
-
 def _max_abs_value(f, bound: int) -> int:
     """Upper bound for |Q(x)| over the box, also valid per monomial term."""
-    return sum(abs(c) for c in _form_coeffs(f)) * bound * bound
+    return sum(abs(c) for c in f.coeffs) * bound * bound
 
 
 class _ResidueTracker:
@@ -129,10 +123,10 @@ def _shell_batches(f, lo: int, hi: int):
     if f.rank == 1:
         # x < -lo, then the origin when lo = 0: a leading slice of the side
         half = side[:hi - lo + (lo == 0)]
-        yield (), None, _form_coeffs(f)[0] * half * half
+        yield (), None, f.coeffs[0] * half * half
         return
     n = f.rank - 2
-    aa, bb, cc = _form_coeffs(f)[-3:]
+    aa, bb, cc = f.coeffs[-3:]
     # rank 2 only ever needs the rows u <= 0
     rows = 2 * hi + 1 if n else hi + 1
     u, v = side[:rows, None], side[None, :]
@@ -251,6 +245,17 @@ class CoverageReport:
                 "quotients_sampled": self.quotients_sampled}
 
 
+def coverage_modulus(p: int, r: int) -> int:
+    """p**r, or ValueError when coverage would list more than 2**24 residues."""
+    # p >= 2, so a large r is over the limit without computing p**r
+    small = r < _MAX_MODULUS.bit_length()
+    if small and p ** r <= _MAX_MODULUS:
+        return p ** r
+    shown = p ** r if small else f"{p}**{r}"
+    raise ValueError(f"coverage lists every residue mod p**r, and p={p}, "
+                     f"r={r} gives p**r = {shown}, past 2**24")
+
+
 def coverage(f, p: int, r: int, bound: int) -> CoverageReport:
     """Residues mod p**r reached by integer-valued quotients, coords <= bound.
 
@@ -262,11 +267,7 @@ def coverage(f, p: int, r: int, bound: int) -> CoverageReport:
         raise ValueError("precision must be at least 1")
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    # p >= 2, so a large r is over the limit without computing p**r
-    if r >= _MAX_MODULUS.bit_length() or p ** r > _MAX_MODULUS:
-        modulus = p ** r if r < _MAX_MODULUS.bit_length() else f"{p}**{r}"
-        raise ValueError(f"coverage lists every residue mod p**r, and p={p}, "
-                         f"r={r} gives p**r = {modulus}, past 2**24")
+    coverage_modulus(p, r)
     tracker = _ResidueTracker(p, r)
     batches = (batch for lo, hi in _expanding_bounds(bound)
                for _, _, batch in _shell_batches(f, lo, hi))

@@ -70,15 +70,6 @@ def split_unit(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def valuation_rational(num: int, den: int, p: int) -> int | float:
-    """Valuation of num/den; INFINITY when num is zero."""
-    if den == 0:
-        raise ValueError("denominator is zero")
-    if num == 0:
-        return INFINITY
-    return valuation(num, p) - valuation(den, p)
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p: 1, -1, or 0."""
     if p == 2:

@@ -18,9 +18,9 @@ from math import gcd
 
 import numpy as np
 
-from .decide import decide, decide_binary_tree
+from .decide import decide
 from .errors import BudgetExceededError, InternalConsistencyError
-from .forms import (BinaryForm, GeneralForm, factor_discriminant, format_form,
+from .forms import (BinaryForm, factor_discriminant, format_form,
                     is_isotropic_mod_p, is_singular_mod_p,
                     odd_singular_reduction, two_singular_reduction)
 from .oracle import (_distinct, _expanding_bounds, _obstruction, _point_at,
@@ -195,10 +195,9 @@ def approximate_quotient(f, p: int, target_num: int, target_den: int,
                          r: int, budget: int | None = None) -> Witness:
     """Witness that some value quotient lies within p**-r of the target.
 
-    Only meaningful on dense verdicts; raises ValueError otherwise. Binary
-    and rank-2 forms go through lifting (stripping the discriminant's p-power
-    first when the form is singular mod p); rank >= 3 goes through bounded
-    lattice enumeration.
+    Only meaningful on dense verdicts; raises ValueError otherwise. Rank 2
+    lifts (stripping the discriminant's p-power first when the form is
+    singular mod p); rank >= 3 goes through bounded lattice enumeration.
     """
     if r < 1:
         raise ValueError("precision must be at least 1")
@@ -208,14 +207,12 @@ def approximate_quotient(f, p: int, target_num: int, target_den: int,
         raise ValueError(
             f"quotients are not dense at p={p} ({verdict.theorem_tag}); "
             "no witness exists")
-    if isinstance(f, BinaryForm):
-        return _structured_witness(f, f, p, tn, td, r)
     if f.rank == 2:
-        return _structured_witness(f, f.to_binary(), p, tn, td, r)
+        return _structured_witness(f.to_binary(), p, tn, td, r)
     return _enumeration_witness(f, p, tn, td, r, budget)
 
 
-def _structured_witness(f, binary: BinaryForm, p: int, tn: int, td: int,
+def _structured_witness(f: BinaryForm, p: int, tn: int, td: int,
                         r: int) -> Witness:
     """Lift both target components to precision r + 2*val(td); quotient follows.
 
@@ -225,10 +222,10 @@ def _structured_witness(f, binary: BinaryForm, p: int, tn: int, td: int,
     """
     precision = r + 2 * int(valuation(td, p))
     reduction = None
-    if factor_discriminant(binary, p).k:
-        reduction = two_singular_reduction(binary) if p == 2 \
-            else odd_singular_reduction(binary, p)
-    g = binary if reduction is None else reduction.reduced
+    if factor_discriminant(f, p).k:
+        reduction = two_singular_reduction(f) if p == 2 \
+            else odd_singular_reduction(f, p)
+    g = f if reduction is None else reduction.reduced
 
     def lift(m: int) -> tuple[int, int]:
         point = lift_representation_two(g, m, precision) if p == 2 \
@@ -294,7 +291,7 @@ def exclusion_certificate(f: BinaryForm, p: int,
     """
     if verify_bound < 1:
         raise ValueError("verify_bound must be at least 1")
-    verdict = decide_binary_tree(f, p)
+    verdict = decide(f, p)
     if verdict.dense:
         raise ValueError("quotients are dense; no exclusion certificate exists")
     r0, test, why = _obstruction(verdict, p)

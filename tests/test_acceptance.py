@@ -15,7 +15,7 @@ import pytest
 from qform import (ALL_TREE_LEAVES, BinaryForm, GeneralForm, Prime,
                    arnold_compose, coverage, cross_check, decide,
                    decide_binary_squareclass, decide_binary_tree,
-                   decide_general, exclusion_certificate, is_isotropic_mod_p,
+                   exclusion_certificate, is_isotropic_mod_p,
                    lift_representation, lift_representation_two, valuation)
 
 rng = random.Random(0xacce97)
@@ -106,7 +106,7 @@ def test_criterion_5_rank_three_and_up(capsys):
     failures = []
     for g in forms:
         for q in (2, 3, 5, 7):
-            verdict = decide_general(g, Prime(q))
+            verdict = decide(g, Prime(q))
             rep = coverage(g, Prime(q), 2, 10 * q * q)
             if not verdict.dense or rep.missing:
                 failures.append((g.coeffs, q, rep.missing[:4]))

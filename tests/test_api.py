@@ -9,3 +9,8 @@ def test_all_names_resolve():
 
 def test_all_has_no_duplicates():
     assert len(qform.__all__) == len(set(qform.__all__))
+
+
+def test_all_stays_small():
+    # ROADMAP item 6 caps the public API at 50 names
+    assert len(qform.__all__) <= 50

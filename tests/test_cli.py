@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qform.witness as witness_mod
-from qform import valuation_rational
+from qform import valuation
 from qform.cli import build_parser, main
 
 
@@ -79,8 +79,8 @@ def test_witness_dense(capsys):
     den = w["z"] ** 2 + w["w"] ** 2
     assert den != 0
     diff = Fraction(num, den) - Fraction(3, 5)
-    assert diff == 0 or valuation_rational(diff.numerator, diff.denominator,
-                                           5) >= 2
+    assert diff == 0 or \
+        valuation(diff.numerator, 5) - valuation(diff.denominator, 5) >= 2
 
 
 def test_witness_not_dense_gives_certificate(capsys):
@@ -106,8 +106,8 @@ def test_negative_target_value(capsys):
     assert w["target"] == "-51/5"
     diff = (Fraction(w["x"] ** 2 + w["y"] ** 2, w["z"] ** 2 + w["w"] ** 2)
             - Fraction(-51, 5))
-    assert diff == 0 or valuation_rational(diff.numerator, diff.denominator,
-                                           5) >= 2
+    assert diff == 0 or \
+        valuation(diff.numerator, 5) - valuation(diff.denominator, 5) >= 2
 
 
 def test_witness_needs_target_when_dense(capsys):
@@ -176,6 +176,21 @@ def test_oracle_refuses_modulus_past_limit(capsys):
     assert (code, out) == (1, "")
     assert err.count("error:") == 1 and "Traceback" not in err
     assert "p=1000003, r=2 gives p**r = 1000006000009" in err
+
+
+def test_default_bound_refuses_huge_r_quickly(capsys, tmp_path):
+    # without --bound the box is COVERAGE_BOUND_FACTOR * p**r: the modulus
+    # is refused before that power is computed
+    cfg = tmp_path / "forms.cfg"
+    cfg.write_text("1,0,1 3\n")
+    for argv in (("oracle", "--form", "1,0,1", "--prime", "3"),
+                 ("sweep", "--config", str(cfg))):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--r", str(10 ** 7))
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (1, ""), argv
+        assert err == ("error: coverage lists every residue mod p**r, and "
+                       "p=3, r=10000000 gives p**r = 3**10000000, past 2**24\n")
 
 
 def test_sweep(capsys, tmp_path):

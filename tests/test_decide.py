@@ -1,4 +1,5 @@
 import importlib
+import json
 import random
 from itertools import product
 from math import gcd
@@ -10,9 +11,11 @@ from qform import (ALL_TREE_LEAVES, LEAF_ANISOTROPIC, LEAF_NONSINGULAR,
                    LEAF_TWO_K_ODD, LEAF_TWO_UNIT_NONSQUARE,
                    LEAF_TWO_UNIT_SQUARE, TAG_RANK_HIGH, TAG_RANK_ONE,
                    TAG_SQUARE_CLASS, BinaryForm, GeneralForm,
-                   InternalConsistencyError, Prime, change_variables, decide,
+                   InternalConsistencyError, Prime, approximate_quotient,
+                   change_variables, coverage, decide,
                    decide_binary_squareclass, decide_binary_tree,
-                   decide_checked, decide_general, is_square_in_qp)
+                   exclusion_certificate, is_square_in_qp)
+from qform.cli import main
 
 # the package re-exports the function decide, which hides the module attribute
 decide_mod = importlib.import_module("qform.decide")
@@ -85,7 +88,7 @@ def test_dense_iff_disc_square():
             continue
         f = BinaryForm(a, b, c)
         p = Prime(rng.choice((2, 3, 5, 7, 11, 13)))
-        v = decide_checked(f, p)
+        v = decide(f, p)
         assert v.dense == is_square_in_qp(f.discriminant(), 1, p)
 
 
@@ -94,7 +97,7 @@ def test_deciders_agree_small_sweep():
         for a, b, c in product(range(-4, 5), repeat=3):
             if gcd(gcd(a, b), c) != 1 or b * b - 4 * a * c == 0:
                 continue
-            decide_checked(BinaryForm(a, b, c), p)     # raises on disagreement
+            decide(BinaryForm(a, b, c), p)     # raises on disagreement
 
 
 def random_unimodular():
@@ -140,28 +143,50 @@ def test_general_rank_one_never_dense():
             assert v.theorem_tag == TAG_RANK_ONE
 
 
-def test_general_rank_two_delegates():
-    g = GeneralForm(2, (1, 0, 1))
-    f = BinaryForm(1, 0, 1)
-    for p in (2, 3, 5, 13):
-        assert decide(g, Prime(p)).dense == decide(f, Prime(p)).dense
-        assert decide(g, Prime(p)).theorem_tag == decide(f, Prime(p)).theorem_tag
+def _witness_command(capsys, form_text, p):
+    code = main(["witness", "--form", form_text, "--prime", str(p),
+                 "--target", "3/5", "--r", "2", "--bound", "5"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    payload = json.loads(out)
+    del payload["form"]
+    return payload
+
+
+def test_general_rank_two_delegates(capsys):
+    # BinaryForm(a, b, c) and GeneralForm(2, (a, b, c)) are two views of one
+    # form: every verdict, witness, coverage report and CLI record agrees
+    for (a, b, c), p in product(product(range(-3, 4), repeat=3), (2, 3, 5, 7)):
+        if gcd(gcd(a, b), c) != 1 or b * b - 4 * a * c == 0:
+            continue
+        f, g, p = BinaryForm(a, b, c), GeneralForm(2, (a, b, c)), Prime(p)
+        verdict = decide(f, p)
+        assert decide(g, p).to_json_dict() == verdict.to_json_dict()
+        if verdict.dense:
+            wf, wg = (approximate_quotient(h, p, 3, 5, 2) for h in (f, g))
+            assert (wf.num_point, wf.den_point, wf.strategy) == \
+                (wg.num_point, wg.den_point, wg.strategy)
+        assert coverage(f, p, 1, 3) == coverage(g, p, 1, 3)
+        assert _witness_command(capsys, f"{a},{b},{c}", p) == \
+            _witness_command(capsys, f"2; {a},{b},{c}", p)
 
 
 def test_decide_general_matches_decide():
     g = GeneralForm(4, (1, 0, 0, 0, 1, 0, 0, 1, 0, 1))
-    v = decide_general(g, 3)
+    v = decide(g, 3)
     assert v.dense and v.theorem_tag == TAG_RANK_HIGH
 
 
-def test_decide_general_rank_two_cross_checks(monkeypatch):
+def test_decide_rank_two_cross_checks(monkeypatch):
     def flipped(f, p):
         tree = decide_binary_tree(f, p)
         return decide_mod.Verdict(not tree.dense, tree.path, TAG_SQUARE_CLASS,
                                   tree.factorization)
 
     monkeypatch.setattr(decide_mod, "decide_binary_squareclass", flipped)
-    g = GeneralForm(2, (1, 0, 1))
-    for entry in (decide_general, decide):
+    for f in (BinaryForm(1, 0, 1), GeneralForm(2, (1, 0, 1))):
         with pytest.raises(InternalConsistencyError, match="disagree"):
-            entry(g, Prime(5))
+            decide(f, Prime(5))
+    # at p = 3 the form is not dense, so only the cross-check can raise
+    with pytest.raises(InternalConsistencyError, match="disagree"):
+        exclusion_certificate(BinaryForm(1, 0, 1), Prime(3))

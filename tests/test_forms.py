@@ -3,6 +3,8 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qform import (BinaryForm, GeneralForm, InvalidFormError, arnold_compose,
                    change_variables, factor_discriminant, format_form,
@@ -255,14 +257,37 @@ def test_change_variables():
     assert g.discriminant() == f.discriminant()
 
 
-def test_parse_format_round_trip():
-    for text in ("1,0,1", "2,-3,5", "3; 1,0,0,1,0,1", "4; 1,0,0,0,1,0,0,1,0,1"):
-        f = parse_form(text)
-        assert format_form(f) == text
-        assert parse_form(format_form(f)) == f
+ROUND_TRIP_TEXTS = ("1,0,1", "2,-3,5", "3; 1,0,0,1,0,1",
+                    "4; 1,0,0,0,1,0,0,1,0,1")
+
+
+@st.composite
+def primitive_forms(draw):
+    """A binary form, or a general form of rank 1-4, primitive and
+    nonsingular, with coefficients of either sign."""
+    rank = draw(st.integers(1, 4))
+    n = rank * (rank + 1) // 2
+    coeffs = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
+    binary = rank == 2 and draw(st.booleans())
+    try:
+        return BinaryForm(*coeffs) if binary else GeneralForm(rank, coeffs)
+    except InvalidFormError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(primitive_forms())
+@example(parse_form(ROUND_TRIP_TEXTS[0]))
+@example(parse_form(ROUND_TRIP_TEXTS[1]))
+@example(parse_form(ROUND_TRIP_TEXTS[2]))
+@example(parse_form(ROUND_TRIP_TEXTS[3]))
+def test_parse_format_round_trip(f):
+    assert parse_form(format_form(f)) == f
 
 
 def test_parse_form_binary_vs_general():
+    for text in ROUND_TRIP_TEXTS:
+        assert format_form(parse_form(text)) == text
     assert isinstance(parse_form("1,2,3"), BinaryForm)
     g = parse_form("2; 1,2,3")
     assert isinstance(g, GeneralForm)

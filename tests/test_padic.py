@@ -4,7 +4,7 @@ import random
 import pytest
 
 from qform import (INFINITY, Prime, is_prime, is_square_in_qp, legendre,
-                   mod_inverse, split_unit, valuation, valuation_rational)
+                   mod_inverse, split_unit, valuation)
 from qform.padic import _sqrt_mod
 
 rng = random.Random(0x5eed)
@@ -59,15 +59,6 @@ def test_valuation_ultrametric():
         assert valuation(m + n, p) >= both
         if valuation(m, p) != valuation(n, p):
             assert valuation(m + n, p) == both
-
-
-def test_valuation_rational():
-    assert valuation_rational(12, 8, 2) == -1
-    assert valuation_rational(3, 5, 5) == -1
-    assert valuation_rational(50, 2, 5) == 2
-    assert valuation_rational(0, 7, 3) == INFINITY
-    with pytest.raises(ValueError):
-        valuation_rational(1, 0, 3)
 
 
 def test_is_prime_examples():

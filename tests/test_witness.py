@@ -10,7 +10,7 @@ from qform import (BinaryForm, BudgetExceededError, GeneralForm,
                    InternalConsistencyError, Prime, approximate_quotient,
                    decide, excluded_classes, exclusion_certificate,
                    lift_representation, lift_representation_two,
-                   quotient_error_valuation, valuation_rational)
+                   quotient_error_valuation, valuation)
 
 rng = random.Random(0x817)
 
@@ -29,7 +29,7 @@ def test_quotient_error_valuation():
         td = rng.randint(1, 50)
         diff = Fraction(nv, dv) - Fraction(tn, td)
         want = inf if diff == 0 else \
-            valuation_rational(diff.numerator, diff.denominator, p)
+            valuation(diff.numerator, p) - valuation(diff.denominator, p)
         assert quotient_error_valuation(nv, dv, tn, td, p) == want
 
 
