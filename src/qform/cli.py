@@ -17,8 +17,8 @@ from fractions import Fraction
 from .decide import decide
 from .errors import BudgetExceededError, InternalConsistencyError
 from .forms import InvalidFormError, format_form, parse_form
-from .oracle import (COVERAGE_BOUND_FACTOR, coverage, coverage_modulus,
-                     cross_check)
+from .oracle import (_MAX_MODULUS, COVERAGE_BOUND_FACTOR, coverage,
+                     coverage_modulus, cross_check)
 from .padic import Prime
 from .witness import DEFAULT_BUDGET, approximate_quotient, exclusion_certificate
 
@@ -239,17 +239,15 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _parse_sweep_line(line: str, lineno: int):
+def _parse_sweep_line(line: str):
     parts = line.rsplit(None, 1)
     if len(parts) != 2:
-        raise UsageError(f"config line {lineno}: expected '<form> <prime>', "
-                         f"got {line!r}")
-    head, tail = parts
+        raise UsageError(f"expected '<form> <prime>', got {line!r}")
     try:
-        p = Prime(int(tail))
-        return parse_form(head), p
+        p = Prime(int(parts[1]))
+        return parse_form(parts[0]), p
     except ValueError as exc:
-        raise UsageError(f"config line {lineno}: {exc}") from exc
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_sweep(args) -> int:
@@ -261,18 +259,21 @@ def _cmd_sweep(args) -> int:
     results = []
     all_passed = True
     bad_lines = False
+    # no prime meets an r past the modulus limit: the first line ends the sweep
+    skipped = (UsageError, ValueError) \
+        if args.r < _MAX_MODULUS.bit_length() else UsageError
     for lineno, line in enumerate(raw, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            f, p = _parse_sweep_line(line, lineno)
-        except UsageError as exc:
-            # report the bad line and go on with the others
-            print(f"error: {exc}", file=sys.stderr)
+            f, p = _parse_sweep_line(line)
+            report = cross_check(f, p, args.r, _coverage_bound(args, p))
+        except skipped as exc:
+            # a bad line, or one past the modulus limit: report it, go on
+            print(f"error: config line {lineno}: {exc}", file=sys.stderr)
             bad_lines = True
             continue
-        report = cross_check(f, p, args.r, _coverage_bound(args, p))
         results.append(report)
         all_passed = all_passed and report.passed
     payload = {"passed": all_passed,

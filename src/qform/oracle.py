@@ -23,13 +23,11 @@ from .padic import legendre, mod_inverse, valuation
 # beyond this, box values may not fit int64 and enumeration uses object arrays
 _INT64_SAFE = 2 ** 62
 _INT32_SAFE = 2 ** 31
-# coverage builds a set of every residue mod p**r; at 2**24 it peaks near 2.5 GB
+# coverage keeps masks of p**r bools (7**4 at bound 24010: a 68 MB peak RSS),
+# but its report lists Python ints, which dominate a 2.5 GB peak at 2**24
 _MAX_MODULUS = 2 ** 24
-
-
-def _max_abs_value(f, bound: int) -> int:
-    """Upper bound for |Q(x)| over the box, also valid per monomial term."""
-    return sum(abs(c) for c in f.coeffs) * bound * bound
+# entries in one enumeration block, one pairing product and one witness fold
+_CHUNK_ENTRIES = 2 ** 20
 
 
 class _ResidueTracker:
@@ -37,59 +35,57 @@ class _ResidueTracker:
 
     Feeding raw values is equivalent to pairing every value with every value:
     for denominators of valuation s only the residues mod p**r of value/p**s
-    matter. So class s keeps one set of numerator residues (value/p**s for
-    each value of valuation >= s) and one dict from each denominator residue
-    (valuation exactly s) to its inverse. The covered set only ever grows,
-    which is what makes early stopping sound.
+    matter. Class s is [a mask of its numerators, value/p**s mod p**r for the
+    values of valuation >= s; the inverses of the unit ones; the number of
+    numerators]. covered, a mask too, only ever grows, which is what makes
+    early stopping sound; once it is full the pairing stops.
     """
 
     def __init__(self, p: int, r: int):
-        self.p = int(p)
-        self.modulus = self.p ** r
-        self.classes: list[tuple[set[int], dict[int, int]]] = []
-        self.covered: set[int] = set()
-        self.saw_zero = False
-
-    def full(self) -> bool:
-        return len(self.covered) == self.modulus
+        self.p, self.modulus = int(p), int(p) ** r
+        self.covered = np.zeros(self.modulus, dtype=bool)
+        self.classes, self.saw_zero, self.full = [], False, False
 
     def add_batch(self, values) -> None:
-        cur = np.asarray(values)
-        nonzero = cur != 0
-        self.saw_zero = self.saw_zero or not nonzero.all()
-        cur = cur[nonzero]
-        s = 0
+        cur, m, s = np.asarray(values), self.modulus, 0
+        if np.count_nonzero(cur) < cur.size:
+            self.saw_zero, cur = True, cur[cur != 0]
         # peel: at step s, cur holds value/p**s for each value of valuation >= s
         while cur.size:
-            residues = (cur % self.modulus).astype(np.int64)
-            nums = np.flatnonzero(np.bincount(residues))
-            self._add_class(s, nums.tolist(), nums[nums % self.p != 0].tolist())
-            cur = cur[cur % self.p == 0] // self.p
+            if s == len(self.classes):
+                self.classes.append([np.zeros(m, bool), np.zeros(0, np.int64), 0])
+            seen, invs, _ = cls = self.classes[s]
+            res = cur // m
+            res *= m
+            hit = np.zeros(m, dtype=bool)
+            hit[np.subtract(cur, res, out=res).astype(np.int64, copy=False)] = True
+            new = (hit > seen).nonzero()[0]
+            seen[new] = True
+            cls[2] += new.size
+            if new.size and not self.full:
+                fresh = np.array([pow(d, -1, m) for d in new.tolist() if d % self.p],
+                                 dtype=np.int64)
+                # new numerators with the known inverses, then every numerator
+                # with the new ones, at most _CHUNK_ENTRIES products at a time
+                for nums, inv in ((new, invs), (seen.nonzero()[0], fresh)):
+                    step = max(_CHUNK_ENTRIES // max(inv.size, 1), 1)
+                    for a in range(0, nums.size if inv.size else 0, step):
+                        prod = np.multiply.outer(nums[a:a + step], inv)
+                        self.covered[prod - prod // m * m] = True
+                cls[1] = np.concatenate((invs, fresh))
+                self.full = np.count_nonzero(self.covered) == m
+            q = cur // self.p
+            cur = q[q * self.p == cur]
             s += 1
-        if self.saw_zero and self.classes:
-            self.covered.add(0)
-
-    def _add_class(self, s: int, nums: list[int], dens: list[int]) -> None:
-        """Pair what is new to class s: new numerators with the known
-        denominators, then every numerator with the new denominators."""
-        if s == len(self.classes):
-            self.classes.append((set(), {}))
-        known_n, known_d = self.classes[s]
-        mod, cov = self.modulus, self.covered
-        new_n = [n for n in nums if n not in known_n]
-        for i in known_d.values():
-            cov.update(n * i % mod for n in new_n)
-        known_n.update(new_n)
-        for d in dens:
-            if d not in known_d:
-                i = known_d[d] = pow(d, -1, mod)
-                cov.update(n * i % mod for n in known_n)
+        if self.saw_zero and self.classes and not self.covered[0]:
+            self.covered[0] = True
+            self.full = np.count_nonzero(self.covered) == m
 
     def pairs_sampled(self) -> int:
-        total = sum(len(nums) * len(dens) for nums, dens in self.classes)
-        if self.saw_zero and self.classes:
-            total += 1
-        return total
+        # every numerator of a class pairs with every unit one
+        return int(self.saw_zero and bool(self.classes)) + sum(
+            n * (n - int(np.count_nonzero(seen[::self.p])))
+            for seen, _, n in self.classes)
 
 
 def _expanding_bounds(bound: int):
@@ -102,66 +98,85 @@ def _expanding_bounds(bound: int):
 
 
 def _shell_batches(f, lo: int, hi: int):
-    """(prefix, keep, values) over the half shell: the lattice points with
-    lo < max|x_i| <= hi whose first nonzero coordinate is negative, and the
-    origin when lo = 0.
+    """(where, values) blocks of at most _CHUNK_ENTRIES entries over the
+    half shell: the lattice points with lo < max|x_i| <= hi whose first
+    nonzero coordinate is negative, and the origin when lo = 0.
 
     f(-x) = f(x), and itertools.product order reaches x before -x exactly
     when x is in this half, so every value's first point, and the values
-    seen after each batch, are those of the whole shell. prefix fixes all
-    but the last two coordinates (the only one at rank 1); values runs over
-    those in C order, restricted to the boolean mask keep unless keep is
-    None (keep may span only the leading rows). Together the batches list
-    the half shell in product order. Values past int64 are exact Python
-    ints in object arrays.
+    seen after each prefix (all but the last two coordinates, none at rank
+    1), are the whole shell's. A block never spans two prefixes; where is
+    (prefix, runs), run (u0, cols, n) being n entries over rows u0, u0 + 1,
+    ... of columns cols in C order. Rows inside the inner box take only its
+    two outer strips. Values past int64 are ints in object arrays.
     """
-    peak = _max_abs_value(f, hi)
+    # bounds |Q(x)| over the box, and each monomial term's share of it too
+    peak = sum(abs(c) for c in f.coeffs) * hi * hi
     dtype = (np.int32 if peak < _INT32_SAFE
              else np.int64 if peak < _INT64_SAFE else object)
-    idx = np.arange(-hi, hi + 1)
-    side = idx.astype(dtype)
-    if f.rank == 1:
-        # x < -lo, then the origin when lo = 0: a leading slice of the side
-        half = side[:hi - lo + (lo == 0)]
-        yield (), None, f.coeffs[0] * half * half
-        return
-    n = f.rank - 2
-    aa, bb, cc = f.coeffs[-3:]
-    # rank 2 only ever needs the rows u <= 0
-    rows = 2 * hi + 1 if n else hi + 1
-    u, v = side[:rows, None], side[None, :]
-    quad = aa * u * u + bb * u * v + cc * v * v
-    outside = np.abs(idx) > lo
-    inner_new = outside[:rows, None] | outside[None, :]
+    side = np.arange(-hi, hi + 1).astype(dtype)
+    strips = np.concatenate((side[:hi - lo], side[hi + lo + 1:]))
+    w, t, n = 2 * hi + 1, hi - lo, max(f.rank - 2, 0)
+    # rank 1 is the one row u = 0 of a form in (u, v)
+    aa, bb, cc = f.coeffs[-3:] if f.rank > 1 else (0, 0, f.coeffs[0])
+    u, v = side[:, None], side
+    # past rank 2 every prefix of a square that fits shares one quad, masked
+    if square := n and w * w <= _CHUNK_ENTRIES:
+        quad = u * (bb * v) + u * (aa * u) + v * (cc * v)
+        keep = ((np.abs(u) > lo) | (np.abs(v) > lo)).ravel()
     for prefix in product(range(-hi, hi + 1), repeat=n):
-        if not any(prefix):
-            # the zero prefix comes last: rows u < 0, then row u = 0 up to
-            # v = 0 when lo = 0, else up to v = -lo - 1
-            half = quad[:hi + 1]
-            if not lo:
-                yield prefix, None, half.ravel()[:hi * (2 * hi + 2) + 1]
-            else:
-                keep = inner_new[:hi + 1].copy()
-                keep[hi, hi:] = False
-                yield prefix, keep, half[keep]
-            return
-        lin_u = sum(f.coeff(i, n) * prefix[i] for i in range(n))
-        lin_v = sum(f.coeff(i, n + 1) * prefix[i] for i in range(n))
+        zero = not any(prefix)
+        if f.rank == 1:
+            runs = [(0, side[:t + (lo == 0)], t + (lo == 0))]
+        elif not lo or max(map(abs, prefix), default=0) > lo:
+            runs = [(-hi, side, hi * w + hi + 1 if zero else w * w)]
+        else:
+            # the zero prefix stops on row 0 before column -lo
+            runs = [(-hi, side, t * w), (-lo, strips, 2 * t * lo + t if zero
+                                         else 2 * t * (2 * lo + 1))]
+            runs += [] if zero else [(lo + 1, side, t * w)]
+        lin_u, lin_v = (sum(f.coeff(i, j) * prefix[i] for i in range(n))
+                        for j in (n, n + 1))
         const = sum(f.coeff(i, j) * prefix[i] * prefix[j]
                     for i in range(n) for j in range(i, n))
-        vals = quad + lin_u * u + lin_v * v + const
-        if lo and max(map(abs, prefix)) <= lo:
-            yield prefix, inner_new, vals[inner_new]
-        else:
-            yield prefix, None, vals.ravel()
+        if square:
+            end = w * w if not zero else hi * w + hi + 1 - (lo and lo + 1)
+            vals = (quad + u * lin_u + (v * lin_v + const)).ravel()[:end]
+            yield (prefix, runs), vals[keep[:end]] if runs[1:] else vals
+        for block in [] if square else _blocks(runs):
+            parts = []
+            for u0, cols, size in block:
+                rows = side[u0 + hi:u0 + hi - (-size // len(cols)), None]
+                vals = rows * (bb * cols)
+                vals += rows * (aa * rows + lin_u)
+                vals += cols * (cc * cols + lin_v) + const
+                parts.append(vals.ravel()[:size])
+            yield (prefix, block), parts[0] if len(parts) == 1 \
+                else np.concatenate(parts)
+        if zero:
+            return
 
 
-def _point_at(f, hi: int, prefix: tuple, keep, i: int) -> tuple[int, ...]:
-    """The lattice point behind entry i of a _shell_batches value array."""
-    if keep is not None:
-        i = np.flatnonzero(keep)[i]
-    shape = (2 * hi + 1,) * min(f.rank, 2)
-    return prefix + tuple(int(t) - hi for t in np.unravel_index(i, shape))
+def _blocks(runs):
+    """The runs as one block if they fit, else whole rows or slices of one row."""
+    if sum(n for _, _, n in runs) <= _CHUNK_ENTRIES:
+        yield runs
+        return
+    for u0, cols, n in runs:
+        step = max(_CHUNK_ENTRIES // len(cols), 1) * len(cols)
+        for a in range(0, n, step):
+            for b in range(0, min(step, n - a), _CHUNK_ENTRIES):
+                size = min(step, n - a, _CHUNK_ENTRIES + b) - b
+                yield [(u0 + a // len(cols), cols[b:b + _CHUNK_ENTRIES], size)]
+
+
+def _point_at(f, where, i: int) -> tuple[int, ...]:
+    """The lattice point behind entry i of a block; rank 1 has no row u."""
+    for u0, cols, n in where[1]:
+        if i < n:
+            return where[0] + (u0 + i // len(cols),)[:f.rank - 1] + \
+                (int(cols[i % len(cols)]),)
+        i -= n
 
 
 def _distinct(values) -> np.ndarray:
@@ -174,6 +189,18 @@ def _distinct(values) -> np.ndarray:
     if not flat.size:
         return flat
     return flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+
+
+def _shell_values(f, lo: int, hi: int) -> np.ndarray:
+    """Every value of the half shell, each at least once: the blocks are
+    folded through _distinct whenever _CHUNK_ENTRIES new entries wait."""
+    pending, size = [], 0
+    for _, batch in _shell_batches(f, lo, hi):
+        pending.append(batch)
+        size += batch.size
+        if size >= _CHUNK_ENTRIES:
+            pending, size = [_distinct(np.concatenate(pending))], 0
+    return np.concatenate(pending) if pending[1:] else pending[0]
 
 
 def _value_pair(values, p: int, tn: int, td: int, r: int):
@@ -269,15 +296,19 @@ def coverage(f, p: int, r: int, bound: int) -> CoverageReport:
         raise ValueError("bound must be at least 1")
     coverage_modulus(p, r)
     tracker = _ResidueTracker(p, r)
-    batches = (batch for lo, hi in _expanding_bounds(bound)
-               for _, _, batch in _shell_batches(f, lo, hi))
-    for batch in batches:
-        tracker.add_batch(batch)
-        if tracker.full():
+    last = None
+    for lo, hi in _expanding_bounds(bound):
+        for (prefix, _), batch in _shell_batches(f, lo, hi):
+            # stop only between prefixes: at rank <= 2, between shells
+            if prefix != last and tracker.full:
+                break
+            last = prefix
+            tracker.add_batch(batch)
+        if tracker.full:
             break
-    covered = frozenset(tracker.covered)
-    missing = tuple(sorted(set(range(tracker.modulus)) - covered))
-    return CoverageReport(int(p), r, bound, covered, missing,
+    covered = tracker.covered.nonzero()[0].tolist()
+    missing = (~tracker.covered).nonzero()[0].tolist()
+    return CoverageReport(int(p), r, bound, frozenset(covered), tuple(missing),
                           tracker.pairs_sampled())
 
 

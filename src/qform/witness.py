@@ -24,13 +24,10 @@ from .forms import (BinaryForm, factor_discriminant, format_form,
                     is_isotropic_mod_p, is_singular_mod_p,
                     odd_singular_reduction, two_singular_reduction)
 from .oracle import (_distinct, _expanding_bounds, _obstruction, _point_at,
-                     _shell_batches, _value_pair)
+                     _shell_batches, _shell_values, _value_pair)
 from .padic import INFINITY, _sqrt_mod, mod_inverse, valuation
 
 DEFAULT_BUDGET = 50
-# batch entries the enumeration witness holds before merging them into its
-# value set; a shell is merged once, or every this many entries
-_FOLD_ENTRIES = 2 ** 20
 
 
 def quotient_error_valuation(num_value: int, den_value: int,
@@ -247,10 +244,10 @@ def _first_point(f, value: int, bounds) -> tuple[int, ...]:
     value 0.
     """
     for lo, hi in bounds:
-        for prefix, keep, vals in _shell_batches(f, lo, hi):
+        for where, vals in _shell_batches(f, lo, hi):
             hits = np.flatnonzero(vals == value)
             if hits.size:
-                return _point_at(f, hi, prefix, keep, int(hits[0]))
+                return _point_at(f, where, int(hits[0]))
     raise InternalConsistencyError(f"value {value} not found in the box")
 
 
@@ -262,14 +259,7 @@ def _enumeration_witness(f, p: int, tn: int, td: int, r: int,
     bounds = list(_expanding_bounds(limit))
     values = np.zeros(0, dtype=np.int64)
     for lo, hi in bounds:
-        pending, size = [], 0
-        for _, _, batch in _shell_batches(f, lo, hi):
-            pending.append(batch)
-            size += batch.size
-            if size >= _FOLD_ENTRIES:
-                pending, size = [_distinct(np.concatenate(pending))], 0
-        # fold the shell in its own dtype before widening it to the values'
-        shell = _distinct(np.concatenate(pending))
+        shell = _distinct(_shell_values(f, lo, hi))  # own dtype: a faster sort
         values = _distinct(np.concatenate([values, shell]))
         pair = _value_pair(values, p, tn, td, r)
         if pair is not None:
@@ -298,9 +288,7 @@ def exclusion_certificate(f: BinaryForm, p: int,
     # test(p) holds only on the parity leaves, where p is the least target
     target = p if test(p) else next(z for z in count(1) if test(z))
     radius = r0 - 1
-    # a binary form's box is a single batch
-    _, _, values = next(_shell_batches(f, 0, verify_bound))
-    pair = _value_pair(values, p, target, 1, radius + 1)
+    pair = _value_pair(_shell_values(f, 0, verify_bound), p, target, 1, radius + 1)
     if pair is not None:
         raise InternalConsistencyError(
             f"exclusion certificate refuted: form {format_form(f)}, p={p}, "

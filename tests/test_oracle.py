@@ -1,5 +1,6 @@
 import random
-from itertools import product
+import tracemalloc
+from itertools import groupby, product
 from math import gcd
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qform.oracle as oracle_mod
 from qform import (BinaryForm, GeneralForm, Prime, coverage, cross_check,
                    decide, excluded_classes, valuation)
 from qform.oracle import (_ResidueTracker, _distinct, _point_at, _shell_batches,
@@ -21,6 +23,12 @@ def quotient_residues_bruteforce(f, p, r, bound):
     span = range(-bound, bound + 1)
     for pt in product(span, repeat=f.rank):
         values.add(f.evaluate(pt))
+    return pairing_reference(values, p, r)
+
+
+def pairing_reference(values, p, r):
+    """Residues mod p**r of every quotient N/D of the values with
+    v(N) >= v(D), D nonzero."""
     seen = set()
     m = p**r
     for dv in values:
@@ -87,19 +95,29 @@ def half_shell_points(f, lo, hi):
 def shell_points(f, lo, hi):
     """(points, values) as _shell_batches lists them."""
     points, values = [], []
-    for prefix, keep, vals in _shell_batches(f, lo, hi):
-        points += [_point_at(f, hi, prefix, keep, i) for i in range(len(vals))]
+    for where, vals in _shell_batches(f, lo, hi):
+        points += [_point_at(f, where, i) for i in range(len(vals))]
         values += vals.tolist()
     return points, values
 
 
-def test_shell_batches_follow_product_order():
-    for f in SHELL_FORMS:
-        for lo, hi in ((0, 2), (2, 3), (1, 4)):
-            want = half_shell_points(f, lo, hi)
-            points, values = shell_points(f, lo, hi)
-            assert points == want, (f, lo, hi)
-            assert values == [f.evaluate(pt) for pt in want], (f, lo, hi)
+def test_shell_batches_follow_product_order(monkeypatch):
+    # also in blocks of one entry, or of 37, which cut rows and prefixes
+    for ceiling in (None, 1, 37):
+        if ceiling:
+            monkeypatch.setattr(oracle_mod, "_CHUNK_ENTRIES", ceiling)
+        for f in SHELL_FORMS:
+            for lo, hi in ((0, 2), (2, 3), (1, 4)):
+                want = half_shell_points(f, lo, hi)
+                points, values = shell_points(f, lo, hi)
+                assert points == want, (f, lo, hi, ceiling)
+                assert values == [f.evaluate(pt) for pt in want], (f, lo, hi)
+                blocks = [(where[0], len(vals))
+                          for where, vals in _shell_batches(f, lo, hi)]
+                assert max(size for _, size in blocks) <= oracle_mod._CHUNK_ENTRIES
+                # a prefix's blocks are consecutive
+                prefixes = [prefix for prefix, _ in blocks]
+                assert len(set(prefixes)) == len(list(groupby(prefixes)))
 
 
 def test_half_shell_and_its_negation_are_the_shell():
@@ -114,10 +132,47 @@ def test_half_shell_and_its_negation_are_the_shell():
 
 
 def test_binary_box_is_one_batch():
-    # exclusion_certificate reads a binary box from the first batch alone
+    # a binary half box under the ceiling is one block: coverage then
+    # handles every small shell with one add_batch
     for f in (BinaryForm(1, 0, 1), BinaryForm(2**62, 1, 1)):
         for hi in (1, 5):
             assert len(list(_shell_batches(f, 0, hi))) == 1
+
+
+# (form, p, r, bound): dense ones stop early, not-dense ones run the box;
+# ranks 2 to 4, and box values past 2**62 in object arrays
+CHUNK_CASES = [
+    (BinaryForm(1, 0, 1), 5, 1, 50), (BinaryForm(1, 0, -1), 2, 3, 20),
+    (BinaryForm(1, 0, 1), 3, 2, 12), (BinaryForm(1, 1, 1), 2, 2, 9),
+    (GeneralForm(3, (1, 0, 0, 1, 0, 1)), 2, 3, 5),
+    (GeneralForm(3, (1, 0, 0, 2, 0, 3)), 3, 2, 4),
+    (GeneralForm(4, (1, 0, 2, -1, 3, 0, 1, -2, 0, 1)), 3, 1, 3),
+    (BinaryForm(2**62, 1, 1), 3, 2, 10),
+    (GeneralForm(3, (2**62 + 3, 1, 0, 5, 0, 7)), 2, 3, 3),
+]
+
+
+def test_chunking_changes_no_report(monkeypatch):
+    def reports():
+        return [coverage(f, Prime(p), r, bound) for f, p, r, bound in CHUNK_CASES]
+
+    want = reports()
+    assert {len(rep.missing) == 0 for rep in want} == {True, False}
+    for ceiling in (1, 37):
+        monkeypatch.setattr(oracle_mod, "_CHUNK_ENTRIES", ceiling)
+        assert reports() == want, ceiling
+
+
+def test_coverage_memory_is_bounded():
+    # a box of 18 million points; the whole box in one batch took 305 MB
+    tracemalloc.start()
+    try:
+        rep = coverage(BinaryForm(1, 0, 1), Prime(7), 2, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.missing == (7, 14, 21, 28, 35, 42)
+    assert peak < 64 * 2 ** 20, peak
 
 
 def test_coverage_examples():
@@ -175,26 +230,42 @@ def test_coverage_rejects_bad_arguments():
         assert f"p={p}, r={r} gives p**r = {modulus}," in str(info.value)
 
 
-def test_tracker_equivalent_to_pairing():
+@st.composite
+def tracker_cases(draw):
+    p = draw(st.sampled_from((2, 2, 3, 5)))
+    r = draw(st.integers(1, 4 if p == 2 else 2))
+    # p = 2 goes deep; int32 edge values, and values past int64
+    top, deep = draw(st.sampled_from(((50, 12 if p == 2 else 5),
+                                      (2**31 - 1, 0), (2**70, 3))))
+    values = [u * p ** k for u, k in draw(st.lists(
+        st.tuples(st.integers(-top, top), st.integers(0, deep)), max_size=30))]
+    # zeros and empty chunks may lead, before any denominator
+    cuts = sorted(draw(st.lists(st.integers(0, len(values)), max_size=5)))
+    lead = draw(st.lists(st.sampled_from(([0], [])), max_size=2))
+    chunks = lead + [values[a:b] for a, b in zip([0] + cuts, cuts + [len(values)])]
+    return p, r, chunks
+
+
+@settings(max_examples=300, deadline=None)
+@given(tracker_cases())
+def test_tracker_equivalent_to_pairing(case):
     # feeding values in arbitrary chunks must equal the all-pairs reference
-    f = BinaryForm(2, 1, 3)
-    values = sorted({f.evaluate((x, y))
-                     for x in range(-7, 8) for y in range(-7, 8)})
-    # a leading zero and an empty chunk arrive before any denominator
-    for p, r, lead in ((2, 3, ()), (3, 2, ()), (5, 1, ()),
-                       (3, 2, ([0], []))):
-        tracker = _ResidueTracker(p, r)
-        for chunk in lead:
-            tracker.add_batch(chunk)
-        chunk = []
-        for v in values:
-            chunk.append(v)
-            if len(chunk) == 13:
-                tracker.add_batch(chunk)
-                chunk = []
-        tracker.add_batch(chunk)
-        want = quotient_residues_bruteforce(f, p, r, 7)
-        assert tracker.covered == want
+    p, r, chunks = case
+    tracker = _ResidueTracker(p, r)
+    for chunk in chunks:
+        peak = max(map(abs, chunk), default=0)
+        tracker.add_batch(np.array(chunk, dtype=np.int32 if peak < 2**31 else
+                                   np.int64 if peak < 2**62 else object))
+    values = {v for chunk in chunks for v in chunk}
+    assert set(np.flatnonzero(tracker.covered).tolist()) == \
+        pairing_reference(values, p, r)
+    # quotients_sampled counts the residue pairs of each valuation class
+    m, nonzero = p ** r, [v for v in values if v]
+    pairs = 0 if not nonzero else int(0 in values)
+    for s in range(max((valuation(v, p) for v in nonzero), default=-1) + 1):
+        nums = {v // p ** s % m for v in nonzero if valuation(v, p) >= s}
+        pairs += len(nums) * len({n for n in nums if n % p})
+    assert tracker.pairs_sampled() == pairs
 
 
 def test_excluded_classes_examples():

@@ -5,6 +5,7 @@ from math import gcd, inf
 
 import pytest
 
+import qform.oracle as oracle_mod
 import qform.witness as witness_mod
 from qform import (BinaryForm, BudgetExceededError, GeneralForm,
                    InternalConsistencyError, Prime, approximate_quotient,
@@ -227,10 +228,10 @@ def test_enumeration_witness_points_are_pinned(monkeypatch):
     for g, p, tn, td, r, num, den in cases:
         w = approximate_quotient(g, Prime(p), tn, td, r)
         assert (w.num_point, w.den_point) == (num, den), (g.coeffs, p, tn, td)
-    # merging the value set after every batch, or every 37 entries, finds
-    # the same points as merging once per shell
+    # blocks and folds of one entry, or of 37, find the same points as
+    # whole shells
     for fold in (1, 37):
-        monkeypatch.setattr(witness_mod, "_FOLD_ENTRIES", fold)
+        monkeypatch.setattr(oracle_mod, "_CHUNK_ENTRIES", fold)
         for g, p, tn, td, r, num, den in cases:
             w = approximate_quotient(g, Prime(p), tn, td, r)
             assert (w.num_point, w.den_point) == (num, den), (fold, g.coeffs)
@@ -411,6 +412,34 @@ def test_exclusion_certificate_refuted(monkeypatch):
     for part in ("1,0,-3", "p=3", "target 1", "radius 1", "bound 5",
                  "N/D = -71/1"):
         assert part in message, part
+
+
+def test_exclusion_certificate_over_many_blocks(monkeypatch):
+    # the verify box is folded block by block: boxes of many blocks give the
+    # same certificates, and a planted false claim the same refuting pair
+    cases = [((1, 0, 1), 3), ((1, 0, -7), 7), ((1, 0, 2), 2), ((1, 1, 1), 2)]
+    want = [exclusion_certificate(BinaryForm(*c), Prime(p), verify_bound=30)
+            for c, p in cases]
+
+    def refutation():
+        with pytest.raises(InternalConsistencyError) as info:
+            exclusion_certificate(BinaryForm(1, 0, -3), Prime(3),
+                                  verify_bound=5)
+        return str(info.value)
+
+    with monkeypatch.context() as planted:
+        planted.setattr(witness_mod, "_obstruction",
+                        lambda v, p: (2, lambda z: z % 3 == 1, "planted"))
+        refuted = refutation()
+    for ceiling in (1, 37, 1000):
+        monkeypatch.setattr(oracle_mod, "_CHUNK_ENTRIES", ceiling)
+        assert len(list(oracle_mod._shell_batches(BinaryForm(1, 0, 1), 0, 30))) > 1
+        assert [exclusion_certificate(BinaryForm(*c), Prime(p), verify_bound=30)
+                for c, p in cases] == want, ceiling
+        with monkeypatch.context() as planted:
+            planted.setattr(witness_mod, "_obstruction",
+                            lambda v, p: (2, lambda z: z % 3 == 1, "planted"))
+            assert refutation() == refuted, ceiling
 
 
 def test_exclusion_certificate_rejects_empty_box():
