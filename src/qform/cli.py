@@ -17,8 +17,8 @@ from fractions import Fraction
 from .decide import decide
 from .errors import BudgetExceededError, InternalConsistencyError
 from .forms import InvalidFormError, format_form, parse_form
-from .oracle import (_MAX_MODULUS, COVERAGE_BOUND_FACTOR, coverage,
-                     coverage_modulus, cross_check)
+from .oracle import (COVERAGE_BOUND_FACTOR, coverage, coverage_modulus,
+                     cross_check)
 from .padic import Prime
 from .witness import DEFAULT_BUDGET, approximate_quotient, exclusion_certificate
 
@@ -201,9 +201,18 @@ def _witness_budget(args) -> int:
 
 
 def _coverage_bound(args, p: Prime) -> int:
-    """The oracle box: --bound, else COVERAGE_BOUND_FACTOR * p**r."""
-    return COVERAGE_BOUND_FACTOR * coverage_modulus(int(p), args.r) \
-        if args.bound is None else args.bound
+    """The oracle box: --bound, else COVERAGE_BOUND_FACTOR * p**r. p**r past
+    the modulus limit is a UsageError, the fault of a sweep's line, unless
+    p = 2 is past it too: then no line can run, and the ValueError ends it."""
+    try:
+        modulus = coverage_modulus(int(p), args.r)
+    except ValueError as exc:
+        try:
+            coverage_modulus(2, args.r)
+        except ValueError:
+            raise exc from None
+        raise UsageError(str(exc)) from None
+    return COVERAGE_BOUND_FACTOR * modulus if args.bound is None else args.bound
 
 
 def _cmd_witness(args) -> int:
@@ -256,26 +265,21 @@ def _cmd_sweep(args) -> int:
             raw = handle.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from exc
-    results = []
-    all_passed = True
-    bad_lines = False
-    # no prime meets an r past the modulus limit: the first line ends the sweep
-    skipped = (UsageError, ValueError) \
-        if args.r < _MAX_MODULUS.bit_length() else UsageError
+    results, bad_lines = [], False
     for lineno, line in enumerate(raw, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         try:
             f, p = _parse_sweep_line(line)
-            report = cross_check(f, p, args.r, _coverage_bound(args, p))
-        except skipped as exc:
+            bound = _coverage_bound(args, p)
+        except UsageError as exc:
             # a bad line, or one past the modulus limit: report it, go on
             print(f"error: config line {lineno}: {exc}", file=sys.stderr)
             bad_lines = True
             continue
-        results.append(report)
-        all_passed = all_passed and report.passed
+        results.append(cross_check(f, p, args.r, bound))
+    all_passed = all(rep.passed for rep in results)
     payload = {"passed": all_passed,
                "results": [rep.to_json_dict() for rep in results]}
     plain_lines = [f"{'form':<24} {'p':>3} {'r':>2} {'bound':>6} "
@@ -288,9 +292,7 @@ def _cmd_sweep(args) -> int:
     plain_lines.append("all passed" if all_passed else "CROSS-CHECK FAILED")
     _emit(args, payload, "\n".join(plain_lines))
     # a failed cross-check is a bug and outranks a bad line
-    if not all_passed:
-        return 2
-    return 1 if bad_lines else 0
+    return 2 if not all_passed else int(bad_lines)
 
 
 def main(argv=None) -> int:

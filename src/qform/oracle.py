@@ -98,17 +98,17 @@ def _expanding_bounds(bound: int):
 
 
 def _shell_batches(f, lo: int, hi: int):
-    """(where, values) blocks of at most _CHUNK_ENTRIES entries over the
-    half shell: the lattice points with lo < max|x_i| <= hi whose first
-    nonzero coordinate is negative, and the origin when lo = 0.
-
-    f(-x) = f(x), and itertools.product order reaches x before -x exactly
-    when x is in this half, so every value's first point, and the values
-    seen after each prefix (all but the last two coordinates, none at rank
-    1), are the whole shell's. A block never spans two prefixes; where is
-    (prefix, runs), run (u0, cols, n) being n entries over rows u0, u0 + 1,
-    ... of columns cols in C order. Rows inside the inner box take only its
-    two outer strips. Values past int64 are ints in object arrays.
+    """(where, values) blocks of at most _CHUNK_ENTRIES entries over the half
+    shell: the points with lo < max|x_i| <= hi whose first nonzero coordinate
+    is negative, and the origin when lo = 0. f(-x) = f(x), and product order
+    reaches x before -x exactly when x is in this half, so every value's first
+    point, and the values seen after each prefix (all but the last two
+    coordinates), are the whole shell's. A block never spans two prefixes;
+    where is (prefix, runs), run (u0, cols, n) being n entries over rows u0,
+    u0 + 1, ... of columns cols in C order, and rows inside the inner box
+    take only its two outer strips. Past rank 2 each run's quadratic part is
+    kept for the shell while those kept fit _CHUNK_ENTRIES. Values past int64
+    are ints in object arrays.
     """
     # bounds |Q(x)| over the box, and each monomial term's share of it too
     peak = sum(abs(c) for c in f.coeffs) * hi * hi
@@ -119,11 +119,7 @@ def _shell_batches(f, lo: int, hi: int):
     w, t, n = 2 * hi + 1, hi - lo, max(f.rank - 2, 0)
     # rank 1 is the one row u = 0 of a form in (u, v)
     aa, bb, cc = f.coeffs[-3:] if f.rank > 1 else (0, 0, f.coeffs[0])
-    u, v = side[:, None], side
-    # past rank 2 every prefix of a square that fits shares one quad, masked
-    if square := n and w * w <= _CHUNK_ENTRIES:
-        quad = u * (bb * v) + u * (aa * u) + v * (cc * v)
-        keep = ((np.abs(u) > lo) | (np.abs(v) > lo)).ravel()
+    quads, kept = {}, 0
     for prefix in product(range(-hi, hi + 1), repeat=n):
         zero = not any(prefix)
         if f.rank == 1:
@@ -139,20 +135,21 @@ def _shell_batches(f, lo: int, hi: int):
                         for j in (n, n + 1))
         const = sum(f.coeff(i, j) * prefix[i] * prefix[j]
                     for i in range(n) for j in range(i, n))
-        if square:
-            end = w * w if not zero else hi * w + hi + 1 - (lo and lo + 1)
-            vals = (quad + u * lin_u + (v * lin_v + const)).ravel()[:end]
-            yield (prefix, runs), vals[keep[:end]] if runs[1:] else vals
-        for block in [] if square else _blocks(runs):
+        for block in _blocks(runs):
             parts = []
             for u0, cols, size in block:
                 rows = side[u0 + hi:u0 + hi - (-size // len(cols)), None]
-                vals = rows * (bb * cols)
-                vals += rows * (aa * rows + lin_u)
-                vals += cols * (cc * cols + lin_v) + const
+                key = u0, int(cols[0]), len(cols), size
+                if (quad := quads.get(key)) is None:
+                    quad = rows * (bb * cols)
+                    quad += rows * (aa * rows)
+                    quad += cols * (cc * cols)
+                    if n and kept + quad.size <= _CHUNK_ENTRIES:
+                        quads[key], kept = quad, kept + quad.size
+                vals = quad if zero else \
+                    quad + (rows * lin_u + (cols * lin_v + const))
                 parts.append(vals.ravel()[:size])
-            yield (prefix, block), parts[0] if len(parts) == 1 \
-                else np.concatenate(parts)
+            yield (prefix, block), np.concatenate(parts) if parts[1:] else parts[0]
         if zero:
             return
 

@@ -244,18 +244,39 @@ def test_sweep_reports_bad_line_and_goes_on(capsys, tmp_path, monkeypatch):
 
 
 def test_sweep_reports_line_past_modulus_limit_and_goes_on(capsys, tmp_path):
-    # 4099**2 is past 2**24: that line is reported, the others still run
+    # 4099**2 is past 2**24: that line is reported, the others still run,
+    # also when --bound spares the default bound's modulus
     cfg = tmp_path / "forms.cfg"
     cfg.write_text("1,0,1 5\n"
                    "1,0,1 4099\n"
                    "1,0,1 3\n")
+    for extra in ((), ("--bound", "5")):
+        code, out, err = run(capsys, "sweep", "--config", str(cfg), "--r", "2",
+                             *extra)
+        assert code == 1
+        assert err == ("error: config line 2: coverage lists every residue "
+                       "mod p**r, and p=4099, r=2 gives p**r = 16801801, "
+                       "past 2**24\n")
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert [row["p"] for row in payload["results"]] == [5, 3]
+
+
+def test_sweep_ends_on_value_error_of_a_check(capsys, tmp_path, monkeypatch):
+    # only the modulus refusal is a line's fault; any other ValueError of a
+    # cross-check ends the sweep, as it ends every command
+    import qform.oracle as oracle_mod
+
+    def broken(f, p):
+        raise ValueError("unit cofactor must be 1 mod 8")
+
+    monkeypatch.setattr(oracle_mod, "decide", broken)
+    cfg = tmp_path / "forms.cfg"
+    cfg.write_text("1,0,1 5\n"
+                   "1,0,1 3\n")
     code, out, err = run(capsys, "sweep", "--config", str(cfg), "--r", "2")
-    assert code == 1
-    assert err == ("error: config line 2: coverage lists every residue mod "
-                   "p**r, and p=4099, r=2 gives p**r = 16801801, past 2**24\n")
-    payload = json.loads(out)
-    assert payload["passed"] is True
-    assert [row["p"] for row in payload["results"]] == [5, 3]
+    assert (code, out) == (1, "")
+    assert err == "error: unit cofactor must be 1 mod 8\n"
 
 
 def test_sweep_reports_internal_failure(capsys, tmp_path, monkeypatch):

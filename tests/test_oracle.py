@@ -5,7 +5,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qform.oracle as oracle_mod
@@ -246,8 +246,21 @@ def tracker_cases(draw):
     return p, r, chunks
 
 
+def dense_chunks(p, r, lead=()):
+    # every value of BinaryForm(2, 1, 3) over [-7, 7]**2, in chunks of 13
+    f = BinaryForm(2, 1, 3)
+    values = sorted({f.evaluate((x, y))
+                     for x in range(-7, 8) for y in range(-7, 8)})
+    cuts = range(0, len(values) + 1, 13)
+    return p, r, [*lead, *(values[a:a + 13] for a in cuts)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(tracker_cases())
+@example(dense_chunks(2, 3))
+@example(dense_chunks(3, 2))
+@example(dense_chunks(5, 1))
+@example(dense_chunks(3, 2, ([0], [])))
 def test_tracker_equivalent_to_pairing(case):
     # feeding values in arbitrary chunks must equal the all-pairs reference
     p, r, chunks = case
