@@ -15,8 +15,8 @@ from .decide import (ALL_TREE_LEAVES, LEAF_ANISOTROPIC, LEAF_NONSINGULAR,
 from .errors import BudgetExceededError, InternalConsistencyError
 from .forms import (BinaryForm, GeneralForm, InvalidFormError, arnold_compose,
                     change_variables, factor_discriminant, format_form,
-                    is_isotropic_mod_p, is_singular_mod_p,
-                    odd_singular_reduction, parse_form, two_singular_reduction)
+                    is_isotropic_mod_p, odd_singular_reduction, parse_form,
+                    two_singular_reduction)
 from .oracle import (CoverageReport, CrossCheckReport, coverage, cross_check,
                      excluded_classes)
 from .padic import (INFINITY, Prime, is_prime, is_square_in_qp, legendre,
@@ -38,7 +38,7 @@ __all__ = [
     "arnold_compose", "change_variables", "coverage", "cross_check", "decide",
     "decide_binary_squareclass", "decide_binary_tree", "excluded_classes",
     "exclusion_certificate", "factor_discriminant", "format_form",
-    "is_isotropic_mod_p", "is_prime", "is_singular_mod_p", "is_square_in_qp",
+    "is_isotropic_mod_p", "is_prime", "is_square_in_qp",
     "legendre", "lift_representation", "lift_representation_two",
     "mod_inverse", "odd_singular_reduction", "parse_form",
     "quotient_error_valuation", "split_unit", "two_singular_reduction",

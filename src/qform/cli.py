@@ -139,18 +139,26 @@ def _prime_from_args(args) -> Prime:
         raise UsageError(str(exc)) from exc
 
 
-def _emit(args, payload: dict, plain: str) -> None:
-    if getattr(args, "plain", False):
-        print(plain)
-    else:
-        print(json.dumps(payload, indent=2))
+def _emit(args, payload: dict, plain) -> None:
+    """Print payload as JSON, or with --plain the text plain() builds, with
+    Python's cap on the digits of int-to-text conversion (3.10.7 on) lifted:
+    a witness at a large --r passes it. Parsing the input keeps the cap."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(plain() if getattr(args, "plain", False)
+              else json.dumps(payload, indent=2))
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 def _emit_record(args, head: dict, key: str, record: dict) -> None:
     """JSON of head with record under key; plain text is one "key: value"
     line per field of record."""
     _emit(args, {**head, key: record},
-          "\n".join(f"{name}: {value}" for name, value in record.items()))
+          lambda: "\n".join(f"{name}: {value}" for name, value in record.items()))
 
 
 def _cmd_decide(args) -> int:
@@ -176,7 +184,7 @@ def _cmd_decide(args) -> int:
                          f"{verdict.factorization.ell}")
     payload = {"form": format_form(f), "prime": int(p),
                "verdict": verdict.to_json_dict()}
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, lambda: "\n".join(lines))
     return 0
 
 
@@ -290,7 +298,7 @@ def _cmd_sweep(args) -> int:
             f"{'yes' if rep.dense else 'no':<5} {rep.theorem_tag:<28} "
             f"{'ok' if rep.passed else 'FAIL'}")
     plain_lines.append("all passed" if all_passed else "CROSS-CHECK FAILED")
-    _emit(args, payload, "\n".join(plain_lines))
+    _emit(args, payload, lambda: "\n".join(plain_lines))
     # a failed cross-check is a bug and outranks a bad line
     return 2 if not all_passed else int(bad_lines)
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InternalConsistencyError
 from .forms import (BinaryForm, DiscFactorization, GeneralForm,
-                    factor_discriminant, format_form, is_isotropic_mod_p,
-                    is_singular_mod_p)
+                    factor_discriminant, format_form, is_isotropic_mod_p)
 from .padic import is_square_in_qp, legendre
 
 # Terminal leaves of the decision tree, one tag per leaf.
@@ -89,7 +88,7 @@ def decide_binary_tree(f: BinaryForm, p: int) -> Verdict:
     if not iso:
         return _leaf(False, LEAF_ANISOTROPIC, path, fact)
 
-    sing = is_singular_mod_p(f, p)
+    sing = fact.k > 0
     path.append(PathNode("singular", f"Is the form singular modulo {p}?", _yn(sing)))
     if not sing:
         return _leaf(True, LEAF_NONSINGULAR, path, fact)

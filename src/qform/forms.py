@@ -58,9 +58,6 @@ class BinaryForm:
         """The form with outer coefficients exchanged; same values, via (x,y) -> (y,x)."""
         return BinaryForm(self.c, self.b, self.a)
 
-    def __str__(self) -> str:
-        return f"{self.a}*x^2 + {self.b}*x*y + {self.c}*y^2"
-
 
 def _det_bareiss(m: list[list[int]]) -> int:
     """Exact integer determinant by fraction-free elimination."""
@@ -131,13 +128,8 @@ class GeneralForm:
         if len(point) != self.rank:
             raise ValueError(
                 f"rank {self.rank} form evaluated at a {len(point)}-tuple")
-        total = 0
-        idx = 0
-        for i in range(self.rank):
-            for j in range(i, self.rank):
-                total += self.coeffs[idx] * point[i] * point[j]
-                idx += 1
-        return total
+        return sum(self.coeff(i, j) * point[i] * point[j]
+                   for i in range(self.rank) for j in range(i, self.rank))
 
     def to_binary(self) -> BinaryForm:
         if self.rank != 2:
@@ -178,10 +170,6 @@ def is_isotropic_mod_p(f: BinaryForm, p: int) -> bool:
     if p == 2:
         return not f.a & f.b & f.c & 1
     return legendre(f.discriminant(), p) != -1
-
-
-def is_singular_mod_p(f: BinaryForm, p: int) -> bool:
-    return f.discriminant() % p == 0
 
 
 @dataclass(frozen=True, slots=True)

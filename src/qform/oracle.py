@@ -36,9 +36,9 @@ class _ResidueTracker:
     Feeding raw values is equivalent to pairing every value with every value:
     for denominators of valuation s only the residues mod p**r of value/p**s
     matter. Class s is [a mask of its numerators, value/p**s mod p**r for the
-    values of valuation >= s; the inverses of the unit ones; the number of
-    numerators]. covered, a mask too, only ever grows, which is what makes
-    early stopping sound; once it is full the pairing stops.
+    values of valuation >= s; the inverses of the unit ones]. covered, a mask
+    too, only ever grows, which is what makes early stopping sound; once it
+    is full the pairing stops.
     """
 
     def __init__(self, p: int, r: int):
@@ -53,15 +53,14 @@ class _ResidueTracker:
         # peel: at step s, cur holds value/p**s for each value of valuation >= s
         while cur.size:
             if s == len(self.classes):
-                self.classes.append([np.zeros(m, bool), np.zeros(0, np.int64), 0])
-            seen, invs, _ = cls = self.classes[s]
+                self.classes.append([np.zeros(m, bool), np.zeros(0, np.int64)])
+            seen, invs = cls = self.classes[s]
             res = cur // m
             res *= m
             hit = np.zeros(m, dtype=bool)
             hit[np.subtract(cur, res, out=res).astype(np.int64, copy=False)] = True
             new = (hit > seen).nonzero()[0]
             seen[new] = True
-            cls[2] += new.size
             if new.size and not self.full:
                 fresh = np.array([pow(d, -1, m) for d in new.tolist() if d % self.p],
                                  dtype=np.int64)
@@ -83,9 +82,10 @@ class _ResidueTracker:
 
     def pairs_sampled(self) -> int:
         # every numerator of a class pairs with every unit one
+        counts = [(int(np.count_nonzero(seen)), int(np.count_nonzero(seen[::self.p])))
+                  for seen, _ in self.classes]
         return int(self.saw_zero and bool(self.classes)) + sum(
-            n * (n - int(np.count_nonzero(seen[::self.p])))
-            for seen, _, n in self.classes)
+            n * (n - k) for n, k in counts)
 
 
 def _expanding_bounds(bound: int):

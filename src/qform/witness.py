@@ -20,8 +20,7 @@ import numpy as np
 
 from .decide import decide
 from .errors import BudgetExceededError, InternalConsistencyError
-from .forms import (BinaryForm, factor_discriminant, format_form,
-                    is_isotropic_mod_p, is_singular_mod_p,
+from .forms import (BinaryForm, format_form, is_isotropic_mod_p,
                     odd_singular_reduction, two_singular_reduction)
 from .oracle import (_distinct, _expanding_bounds, _obstruction, _point_at,
                      _shell_batches, _shell_values, _value_pair)
@@ -60,7 +59,7 @@ def lift_representation(f: BinaryForm, p: int, n: int, r: int) -> tuple[int, int
         raise ValueError("this lift needs an odd prime")
     if r < 1:
         raise ValueError("precision must be at least 1")
-    if is_singular_mod_p(f, p) or not is_isotropic_mod_p(f, p):
+    if f.discriminant() % p == 0 or not is_isotropic_mod_p(f, p):
         raise ValueError("lifting needs a form isotropic and nonsingular mod p")
     a, b, c = f.a % p, f.b % p, f.c % p
     for x in range(p):
@@ -84,20 +83,22 @@ def lift_representation(f: BinaryForm, p: int, n: int, r: int) -> tuple[int, int
 def _hensel(f: BinaryForm, p: int, n: int, r: int, x: int,
             y: int) -> tuple[int, int]:
     """Lift f(x, y) = n mod p, at a point where a partial derivative is a
-    unit mod p, to f(x, y) = n mod p**r; each step moves x if its partial
-    derivative is the unit, else y."""
-    for s in range(1, r):
+    unit mod p, to the one root mod p**r congruent to it mod p, in [0, p**r).
+    Corrections are multiples of p, so that partial stays the unit: each
+    Newton step moves its coordinate alone and doubles the precision."""
+    # f(x + h, y) = f(x, y) + (2ax + by) h + a h**2, same shape in y
+    move_x = (2 * f.a * x + f.b * y) % p != 0
+    if not move_x and not (f.b * x + 2 * f.c * y) % p:
+        raise InternalConsistencyError("both partial derivatives vanished mod p")
+    s = 1
+    while s < r:
+        s = min(2 * s, r)
         ps = p ** s
-        m = (f.evaluate((x, y)) - n) // ps
-        # f(x + i p^s, y) = f(x, y) + (2ax + by) i p^s mod p^(s+1), same shape in y
-        dx = (2 * f.a * x + f.b * y) % p
-        if dx:
-            x += (-m * mod_inverse(dx, p)) % p * ps
+        m = f.evaluate((x, y)) - n
+        if move_x:
+            x = (x - m * mod_inverse(2 * f.a * x + f.b * y, ps)) % ps
         else:
-            dy = (f.b * x + 2 * f.c * y) % p
-            if not dy:
-                raise InternalConsistencyError("both partial derivatives vanished mod p")
-            y += (-m * mod_inverse(dy, p)) % p * ps
+            y = (y - m * mod_inverse(f.b * x + 2 * f.c * y, ps)) % ps
     if (f.evaluate((x, y)) - n) % p ** r:
         raise InternalConsistencyError("lift lost the target residue")
     return x, y
@@ -179,17 +180,12 @@ class ExclusionCertificate:
 def _reduce_target(num: int, den: int) -> tuple[int, int]:
     if den == 0:
         raise ValueError("target denominator is zero")
-    if num == 0:
-        return 0, 1
-    g = gcd(num, den)
-    num, den = num // g, den // g
-    if den < 0:
-        num, den = -num, -den
-    return num, den
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
 
 
 def approximate_quotient(f, p: int, target_num: int, target_den: int,
-                         r: int, budget: int | None = None) -> Witness:
+                         r: int, budget: int = DEFAULT_BUDGET) -> Witness:
     """Witness that some value quotient lies within p**-r of the target.
 
     Only meaningful on dense verdicts; raises ValueError otherwise. Rank 2
@@ -205,21 +201,22 @@ def approximate_quotient(f, p: int, target_num: int, target_den: int,
             f"quotients are not dense at p={p} ({verdict.theorem_tag}); "
             "no witness exists")
     if f.rank == 2:
-        return _structured_witness(f.to_binary(), p, tn, td, r)
+        return _structured_witness(f.to_binary(), p, tn, td, r,
+                                   verdict.factorization.k)
     return _enumeration_witness(f, p, tn, td, r, budget)
 
 
-def _structured_witness(f: BinaryForm, p: int, tn: int, td: int,
-                        r: int) -> Witness:
+def _structured_witness(f: BinaryForm, p: int, tn: int, td: int, r: int,
+                        k: int) -> Witness:
     """Lift both target components to precision r + 2*val(td); quotient follows.
 
     With N = tn and D = td mod p**M for M = r + 2*val(td), the error
     N*td - tn*D is divisible by p**M while val(D) = val(td), which pushes the
-    quotient within p**-r of tn/td.
+    quotient within p**-r of tn/td. k is the discriminant's valuation at p.
     """
     precision = r + 2 * int(valuation(td, p))
     reduction = None
-    if factor_discriminant(f, p).k:
+    if k:
         reduction = two_singular_reduction(f) if p == 2 \
             else odd_singular_reduction(f, p)
     g = f if reduction is None else reduction.reduced
@@ -252,8 +249,7 @@ def _first_point(f, value: int, bounds) -> tuple[int, ...]:
 
 
 def _enumeration_witness(f, p: int, tn: int, td: int, r: int,
-                         budget: int | None) -> Witness:
-    limit = DEFAULT_BUDGET if budget is None else budget
+                         limit: int) -> Witness:
     if limit < 1:
         raise ValueError("budget must be at least 1")
     bounds = list(_expanding_bounds(limit))

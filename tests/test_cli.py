@@ -1,9 +1,11 @@
 import io
 import json
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +159,46 @@ def test_witness_rejects_bound_below_one(capsys):
                              "--target", "5", "--bound", bound)
         assert (code, out) == (1, ""), (form, p, bound)
         assert "--bound must be at least 1" in err
+
+
+def digit_cap() -> int:
+    # Python's cap on the digits of int-text conversion; 0 means none
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def test_witness_past_the_int_digit_cap_prints(capsys):
+    # 5**7000 has 4893 digits, past Python's default cap of 4300; the CLI
+    # lifts the cap while it formats the witness, then puts it back
+    cap = digit_cap()
+    for plain in ((), ("--plain",)):
+        code, out, err = run(capsys, "witness", "--form", "1,0,1", "--prime",
+                             "5", "--target", "3", "--r", "7000", *plain)
+        assert (code, err) == (0, ""), plain
+        assert digit_cap() == cap
+        if cap:
+            sys.set_int_max_str_digits(0)
+        try:
+            w = dict(line.split(": ", 1) for line in out.splitlines()) \
+                if plain else json.loads(out)["witness"]
+            x, y, z, v = (int(w[k]) for k in "xyzw")
+        finally:
+            if cap:
+                sys.set_int_max_str_digits(cap)
+        assert x.bit_length() > 16000, plain
+        diff = Fraction(x * x + y * y, z * z + v * v) - 3
+        assert diff == 0 or valuation(diff.numerator, 5) - \
+            valuation(diff.denominator, 5) >= 7000, plain
+
+
+@pytest.mark.skipif(not digit_cap(), reason="this Python has no digit cap")
+def test_form_text_keeps_the_int_digit_cap(capsys):
+    # the cap is lifted for the output only: a 5001-digit coefficient is
+    # still refused as input
+    code, out, err = run(capsys, "witness", "--form", "1,0,1" + "0" * 5000,
+                         "--prime", "5", "--target", "3")
+    assert (code, out) == (1, "")
+    assert "malformed form text" in err
+    assert "Traceback" not in err
 
 
 def test_oracle_report(capsys):

@@ -1,17 +1,21 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd, inf
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import qform.oracle as oracle_mod
 import qform.witness as witness_mod
 from qform import (BinaryForm, BudgetExceededError, GeneralForm,
                    InternalConsistencyError, Prime, approximate_quotient,
                    decide, excluded_classes, exclusion_certificate,
-                   lift_representation, lift_representation_two,
-                   quotient_error_valuation, valuation)
+                   is_isotropic_mod_p, lift_representation,
+                   lift_representation_two, quotient_error_valuation,
+                   valuation)
 
 rng = random.Random(0x817)
 
@@ -91,6 +95,64 @@ def test_lift_base_point_matches_scan():
             for n in range(-1, p + 1):
                 assert lift_representation(f, p, n, 1) == \
                     base_point_by_scan(f, p, n), (a, b, c, p, n)
+
+
+def hensel_by_digits(f, p, n, r, x, y):
+    """Reference: lift f(x, y) = n mod p to mod p**r one p-adic digit at a
+    time, moving x while its partial derivative is a unit mod p, else y."""
+    for s in range(1, r):
+        ps = p ** s
+        m = (f.evaluate((x, y)) - n) // ps
+        dx = (2 * f.a * x + f.b * y) % p
+        if dx:
+            x += (-m * pow(dx, -1, p)) % p * ps
+        else:
+            dy = (f.b * x + 2 * f.c * y) % p
+            y += (-m * pow(dy, -1, p)) % p * ps
+    return x, y
+
+
+@st.composite
+def hensel_cases(draw):
+    """(f, p, n, r, x, y): f isotropic and nonsingular mod p, (x, y) in
+    [0, p)**2 with f(x, y) = n mod p and some partial derivative a unit,
+    often only the partial in y."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 1009, 10**18 + 3)))
+    a, b, c = (draw(st.integers(-10**20, 10**20)) for _ in range(3))
+    assume(gcd(a, b, c) == 1 and b * b != 4 * a * c)
+    f = BinaryForm(a, b, c)
+    assume(f.discriminant() % p and is_isotropic_mod_p(f, p))
+    x, y = (draw(st.integers(0, p - 1)) for _ in range(2))
+    if draw(st.booleans()):
+        # make the partial in x vanish: 2ax + by = 0 mod p
+        if p == 2:
+            y = 0
+        else:
+            assume(a % p)
+            x = -b * y * pow(2 * a, -1, p) % p
+    assume((2 * a * x + b * y) % p or (b * x + 2 * c * y) % p)
+    n = f.evaluate((x, y)) + p * draw(st.integers(-10**30, 10**30))
+    return f, p, n, draw(st.integers(1, 60)), x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(hensel_cases())
+@example((BinaryForm(1, 0, -1), 5, -1, 8, 0, 1))     # only the y partial
+@example((BinaryForm(2, 1, 2), 2, 2, 9, 1, 0))       # the same at p = 2
+def test_doubling_lift_matches_digit_loop(case):
+    # the doubling lift is the unique root congruent to the base mod p, so
+    # it must be the point the digit-by-digit loop builds
+    f, p, n, r, x, y = case
+    assert witness_mod._hensel(f, p, n, r, x, y) == \
+        hensel_by_digits(f, p, n, r, x, y)
+
+
+def test_doubling_lift_is_fast_at_large_r():
+    # 1.56 s with one lift step a digit; about 0.08 s with doubling steps
+    start = time.perf_counter()
+    w = approximate_quotient(BinaryForm(1, 0, 1), Prime(5), 3, 7, 5000)
+    assert time.perf_counter() - start < 1.0
+    assert w.achieved_valuation >= 5000
 
 
 def test_lift_representation_rejects():
@@ -262,6 +324,27 @@ def test_structured_witness_points_are_pinned():
         w = approximate_quotient(BinaryForm(*coeffs), Prime(p), tn, td, r)
         assert (w.strategy, w.num_point, w.den_point) == (strategy, num, den), \
             (coeffs, p, tn, td, r)
+
+
+def test_zero_target_reduces_to_zero_over_one():
+    # 0/-5 is the target 0/1, with the same points
+    cases = [(BinaryForm(1, 0, 1), 5, 3), (BinaryForm(1, 0, -9), 3, 2),
+             (BinaryForm(2, 1, 3), 2, 4),
+             (GeneralForm(3, (1, 0, 0, 1, 0, 1)), 3, 2)]
+    for f, p, r in cases:
+        w = approximate_quotient(f, Prime(p), 0, -5, r)
+        assert (w.target_num, w.target_den) == (0, 1)
+        assert w == approximate_quotient(f, Prime(p), 0, 1, r), (f, p)
+
+
+def test_enumeration_budget_defaults_to_fifty():
+    # no quotient of values in the box of 12 comes 2**-30 close to 2000,
+    # while 2000 = 40**2 + 20**2 is a value in the box of 50
+    g = GeneralForm(3, (1, 0, 0, 1, 0, 1))
+    with pytest.raises(BudgetExceededError):
+        approximate_quotient(g, Prime(2), 2000, 1, 30, budget=12)
+    assert approximate_quotient(g, Prime(2), 2000, 1, 30) == \
+        approximate_quotient(g, Prime(2), 2000, 1, 30, budget=50)
 
 
 def test_approximate_quotient_lift_errors_propagate(monkeypatch):
