@@ -19,7 +19,7 @@ from .errors import BudgetExceededError, InternalConsistencyError
 from .forms import InvalidFormError, format_form, parse_form
 from .oracle import (COVERAGE_BOUND_FACTOR, coverage, coverage_modulus,
                      cross_check)
-from .padic import Prime
+from .padic import Prime, uncapped_text
 from .witness import DEFAULT_BUDGET, approximate_quotient, exclusion_certificate
 
 MAX_BUDGET_ENV = "QFORM_MAX_BUDGET"
@@ -140,18 +140,10 @@ def _prime_from_args(args) -> Prime:
 
 
 def _emit(args, payload: dict, plain) -> None:
-    """Print payload as JSON, or with --plain the text plain() builds, with
-    Python's cap on the digits of int-to-text conversion (3.10.7 on) lifted:
-    a witness at a large --r passes it. Parsing the input keeps the cap."""
-    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if cap:
-        sys.set_int_max_str_digits(0)
-    try:
-        print(plain() if getattr(args, "plain", False)
-              else json.dumps(payload, indent=2))
-    finally:
-        if cap:
-            sys.set_int_max_str_digits(cap)
+    """Print payload as JSON, or with --plain the text plain() builds, past
+    Python's int-to-text digit cap (a witness at a large --r); parsing keeps it."""
+    print(uncapped_text(plain if getattr(args, "plain", False)
+                        else lambda: json.dumps(payload, indent=2)))
 
 
 def _emit_record(args, head: dict, key: str, record: dict) -> None:
@@ -181,7 +173,7 @@ def _cmd_decide(args) -> int:
                  f"leaf:    {verdict.theorem_tag}"]
         if verdict.factorization is not None:
             lines.append(f"k, ell:  {verdict.factorization.k}, "
-                         f"{verdict.factorization.ell}")
+                         f"{uncapped_text(str, verdict.factorization.ell)}")
     payload = {"form": format_form(f), "prime": int(p),
                "verdict": verdict.to_json_dict()}
     _emit(args, payload, lambda: "\n".join(lines))

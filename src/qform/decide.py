@@ -3,9 +3,9 @@
 Two independent routes for binary forms: an eight-leaf decision tree driven by
 local isotropy and the discriminant factorization, and a one-step square-class
 criterion (dense exactly when the discriminant is a p-adic square). They must
-always agree. decide is the entry point for every rank: it runs both on a
-rank-2 form and raises if they ever differ; rank 1 is never dense and rank
->= 3 always is.
+always agree. decide is the entry point for every rank: on a rank-2 form it
+returns the tree's verdict, checked against the criterion's bool, and raises if
+they differ; rank 1 is never dense and rank >= 3 always is.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import InternalConsistencyError
 from .forms import (BinaryForm, DiscFactorization, GeneralForm,
                     factor_discriminant, format_form, is_isotropic_mod_p)
-from .padic import is_square_in_qp, legendre
+from .padic import is_square_in_qp, legendre, uncapped_text
 
 # Terminal leaves of the decision tree, one tag per leaf.
 LEAF_ANISOTROPIC = "anisotropic"
@@ -107,7 +107,8 @@ def decide_binary_tree(f: BinaryForm, p: int) -> Verdict:
         res = legendre(ell, p) == 1
         path.append(PathNode(
             "legendre",
-            f"Is the unit cofactor ell = {ell} a square modulo {p}?", _yn(res)))
+            f"Is the unit cofactor ell = {uncapped_text(str, ell)} a square "
+            f"modulo {p}?", _yn(res)))
         return _leaf(res, LEAF_ODD_RESIDUE if res else LEAF_ODD_NONRESIDUE,
                      path, fact)
 
@@ -115,8 +116,8 @@ def decide_binary_tree(f: BinaryForm, p: int) -> Verdict:
         return _leaf(False, LEAF_TWO_K_ODD, path, fact)
     one = ell % 8 == 1
     path.append(PathNode(
-        "ell-mod-8", f"Is the unit cofactor ell = {ell} congruent to 1 modulo 8?",
-        _yn(one)))
+        "ell-mod-8", f"Is the unit cofactor ell = {uncapped_text(str, ell)} "
+        "congruent to 1 modulo 8?", _yn(one)))
     return _leaf(one, LEAF_TWO_UNIT_SQUARE if one else LEAF_TWO_UNIT_NONSQUARE,
                  path, fact)
 
@@ -124,26 +125,25 @@ def decide_binary_tree(f: BinaryForm, p: int) -> Verdict:
 def decide_binary_squareclass(f: BinaryForm, p: int) -> Verdict:
     """One-step criterion: quotients are dense exactly when disc is a p-adic square."""
     fact = factor_discriminant(f, p)
-    d = f.discriminant()
-    dense = is_square_in_qp(d, 1, p)
+    dense = is_square_in_qp(fact.disc, 1, p)
     path = [PathNode(
         "square-class",
-        f"Is the discriminant {d} a square in the {p}-adic numbers?", _yn(dense))]
+        f"Is the discriminant {uncapped_text(str, fact.disc)} a square in the "
+        f"{p}-adic numbers?", _yn(dense))]
     return _leaf(dense, TAG_SQUARE_CLASS, path, fact)
 
 
 def decide(f: BinaryForm | GeneralForm, p: int) -> Verdict:
-    """Decide any form by its rank: 1 never dense, >= 3 always dense, 2 by
-    both binary deciders on f.to_binary(), which must agree (tree verdict)."""
+    """Decide any form by its rank: 1 never dense, >= 3 always dense, 2 by the
+    tree on f.to_binary(), whose dense must equal the square-class criterion's."""
     if f.rank == 2:
         binary = f.to_binary()
         tree = decide_binary_tree(binary, p)
-        square = decide_binary_squareclass(binary, p)
-        if tree.dense != square.dense:
+        if tree.dense != is_square_in_qp(binary.discriminant(), 1, p):
             raise InternalConsistencyError(
                 f"deciders disagree on form {format_form(binary)} at p={p}: "
                 f"tree says dense={tree.dense} via {tree.theorem_tag}, "
-                f"square-class says dense={square.dense}")
+                f"square-class says dense={not tree.dense}")
         return tree
     # rank 1: values are a*x^2, so quotients are exactly the rational squares,
     # which miss entire square classes of the p-adic numbers

@@ -1,12 +1,13 @@
 """Exact p-adic arithmetic on integers and rationals.
 
-Valuations, Legendre symbols, unit parts, and the p-adic square test. Everything runs on plain Python integers, so there is no
+Valuations, Legendre symbols, unit parts, the p-adic square test, and the text of an integer past Python's digit cap. Everything runs on plain Python integers, so there is no
 overflow anywhere in the pipeline.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 INFINITY = math.inf
 
@@ -63,11 +64,28 @@ def split_unit(n: int, p: int) -> tuple[int, int]:
     if p == 2:
         v = (n & -n).bit_length() - 1
         return v, n >> v
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
+    if n % p:
+        return 0, n
+    # n = (p*p)**w * m with p*p not dividing m, so p divides m at most once:
+    # p, p**2, p**4, ... cost O(log v) big divisions instead of v
+    w, m = split_unit(n, p * p)
+    return (2 * w + 1, m // p) if m % p == 0 else (2 * w, m)
+
+
+def uncapped_text(text, *args) -> str:
+    """text(*args), retried with Python's cap on the digits of int-to-text
+    conversion (3.10.7 on) lifted if it hits that cap, which is put back."""
+    try:
+        return text(*args)
+    except ValueError:
+        cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not cap:
+            raise
+        sys.set_int_max_str_digits(0)
+        try:
+            return text(*args)
+        finally:
+            sys.set_int_max_str_digits(cap)
 
 
 def legendre(a: int, p: int) -> int:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import sys
 import time
@@ -199,6 +200,26 @@ def test_form_text_keeps_the_int_digit_cap(capsys):
     assert (code, out) == (1, "")
     assert "malformed form text" in err
     assert "Traceback" not in err
+
+
+def test_decide_and_explain_past_the_int_digit_cap(capsys):
+    # a 5001-digit discriminant, and at p = 5 an 8401-digit unit cofactor:
+    # each form parses under the cap, and its verdict prints in full
+    cap = digit_cap()
+    big = "1" + "0" * 2500
+    forms = ((f"{big},1,{big}", True),
+             (f"{10**4200 + 3},0,{-25 * (10**4200 + 1)}", False))
+    for (form, dense), command, plain in itertools.product(
+            forms, ("decide", "explain"), ((), ("--plain",))):
+        code, out, err = run(capsys, command, "--form", form, "--prime", "5",
+                             *plain)
+        assert (code, err) == (0, ""), (command, plain)
+        assert digit_cap() == cap
+        if plain:
+            assert ("dense:   yes" in out or "=> dense" in out) == dense
+        else:
+            # json.loads would meet the cap on the numbers
+            assert f'"dense": {json.dumps(dense)}' in out
 
 
 def test_oracle_report(capsys):

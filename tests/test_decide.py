@@ -1,6 +1,7 @@
 import importlib
 import json
 import random
+import sys
 from itertools import product
 from math import gcd
 
@@ -178,15 +179,55 @@ def test_decide_general_matches_decide():
 
 
 def test_decide_rank_two_cross_checks(monkeypatch):
-    def flipped(f, p):
-        tree = decide_binary_tree(f, p)
-        return decide_mod.Verdict(not tree.dense, tree.path, TAG_SQUARE_CLASS,
-                                  tree.factorization)
+    def flipped(num, den, p):
+        return not is_square_in_qp(num, den, p)
 
-    monkeypatch.setattr(decide_mod, "decide_binary_squareclass", flipped)
+    monkeypatch.setattr(decide_mod, "is_square_in_qp", flipped)
     for f in (BinaryForm(1, 0, 1), GeneralForm(2, (1, 0, 1))):
         with pytest.raises(InternalConsistencyError, match="disagree"):
             decide(f, Prime(5))
     # at p = 3 the form is not dense, so only the cross-check can raise
     with pytest.raises(InternalConsistencyError, match="disagree"):
         exclusion_certificate(BinaryForm(1, 0, 1), Prime(3))
+
+
+def test_decide_is_the_tree_checked_by_the_criterion():
+    # decide returns the tree's verdict whole, and its dense is the
+    # square-class criterion's, for both views of a rank-2 form
+    primes = (2, 3, 5, 7, 11, 13, 17, 1000000007, 10**18 + 3, 3 * 10**24 + 7)
+    for (a, b, c), p in product(product(range(-5, 6), repeat=3), primes):
+        if gcd(gcd(a, b), c) != 1 or b * b - 4 * a * c == 0:
+            continue
+        p = Prime(p)
+        for f in (BinaryForm(a, b, c), GeneralForm(2, (a, b, c))):
+            verdict = decide(f, p)
+            assert verdict == decide_binary_tree(f.to_binary(), p), (f, p)
+            assert verdict.dense == \
+                decide_binary_squareclass(f.to_binary(), p).dense, (f, p)
+
+
+# the discriminant of BIG_NONSINGULAR has 5001 digits and the unit cofactor
+# of BIG_SINGULAR at p = 5 about 8400, both past Python's default cap of 4300
+# on int-to-text conversion, which path questions must get past
+BIG_NONSINGULAR = BinaryForm(10**2500, 1, 10**2500)
+BIG_SINGULAR = BinaryForm(10**4200 + 3, 0, -25 * (10**4200 + 1))
+
+
+def digit_cap() -> int:
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def test_decide_past_the_int_digit_cap():
+    cap = digit_cap()
+    p = Prime(5)
+    square = decide_binary_squareclass(BIG_NONSINGULAR, p)
+    assert square.dense and decide(BIG_NONSINGULAR, p).dense
+    assert len(square.path[0].question) > 5001
+    verdict = decide(BIG_SINGULAR, p)
+    # ell = 4 (10**4200 + 3) (10**4200 + 1) = 2 mod 5, a nonresidue
+    assert not verdict.dense and verdict.theorem_tag == LEAF_ODD_NONRESIDUE
+    assert verdict.factorization.k == 2
+    assert verdict.path[-2].node == "legendre"
+    assert len(verdict.path[-2].question) > 8400
+    assert not decide_binary_squareclass(BIG_SINGULAR, p).dense
+    assert digit_cap() == cap

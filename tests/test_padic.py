@@ -1,7 +1,10 @@
 import math
 import random
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qform import (INFINITY, Prime, is_prime, is_square_in_qp, legendre,
                    mod_inverse, split_unit, valuation)
@@ -40,6 +43,35 @@ def test_valuation_random_reconstruction():
 def test_split_unit_rejects_zero():
     with pytest.raises(ValueError):
         split_unit(0, 5)
+
+
+def split_unit_by_division(n, p):
+    """The reference: divide out p one power at a time."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from((3, 5, 1009, 10**18 + 3)),
+       v=st.integers(0, 3000),
+       u=st.integers(-10**30, 10**30).filter(bool))
+@example(p=3, v=2**11 - 1, u=-1)
+@example(p=5, v=2**11, u=25)
+def test_split_unit_matches_division_loop(p, v, u):
+    # u may itself be divisible by p, so v is a lower bound on the valuation
+    n = u * p**v
+    assert split_unit(n, p) == split_unit_by_division(n, p)
+
+
+def test_valuation_of_a_large_power_is_fast():
+    n = 5**50000 * 3
+    start = time.perf_counter()
+    v = valuation(n, 5)
+    assert time.perf_counter() - start < 0.1
+    assert v == 50000
 
 
 def test_valuation_multiplicative():
