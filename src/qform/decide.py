@@ -51,9 +51,18 @@ class PathNode:
 @dataclass(frozen=True, slots=True)
 class Verdict:
     dense: bool
-    path: tuple[PathNode, ...]
     theorem_tag: str
     factorization: DiscFactorization | None
+    rank: int = 2  # asked only when factorization is None
+
+    @property
+    def path(self) -> tuple[PathNode, ...]:
+        """The questions from the root to the leaf, then the conclusion;
+        built on each read, as only explanations need it."""
+        conclusion = "dense" if self.dense else "not dense"
+        return tuple(PathNode(node, question, "yes" if yes else "no")
+                     for node, question, yes in _questions(self)) + (
+            PathNode(self.theorem_tag, "conclusion", conclusion),)
 
     def to_json_dict(self) -> dict:
         return {
@@ -65,14 +74,32 @@ class Verdict:
         }
 
 
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-def _leaf(dense: bool, tag: str, path: list[PathNode],
-          fact: DiscFactorization | None) -> Verdict:
-    path.append(PathNode(tag, "conclusion", "dense" if dense else "not dense"))
-    return Verdict(dense, tuple(path), tag, fact)
+def _questions(v: Verdict) -> list[tuple[str, str, bool]]:
+    """(node, question, answer) on the way to v's leaf, each answer read off
+    the leaf: the tree stops at the first no of isotropic and singular, and
+    after k-odd when k is odd; dense answers the last question."""
+    tag, fact = v.theorem_tag, v.factorization
+    if fact is None:
+        return [("rank", f"Is the rank {v.rank} at least 3?", v.dense)]
+    p = fact.p
+    if tag == TAG_SQUARE_CLASS:
+        return [("square-class", "Is the discriminant "
+                 f"{uncapped_text(str, fact.disc)} a square in the {p}-adic "
+                 "numbers?", v.dense)]
+    iso, sing = tag != LEAF_ANISOTROPIC, tag != LEAF_NONSINGULAR
+    k_odd = tag in (LEAF_ODD_K_ODD, LEAF_TWO_K_ODD)
+    asked = [("isotropic", f"Is the form isotropic modulo {p}?", iso),
+             ("singular", f"Is the form singular modulo {p}?", sing),
+             ("p-odd", f"Is p = {p} odd?", p != 2),
+             ("k-odd", f"Is the discriminant valuation k = {fact.k} odd?", k_odd)]
+    if not (iso and sing):
+        return asked[:1 + iso]
+    if k_odd:
+        return asked
+    ell = f"Is the unit cofactor ell = {uncapped_text(str, fact.ell)}"
+    return asked + [("ell-mod-8", f"{ell} congruent to 1 modulo 8?", v.dense)
+                    if p == 2 else
+                    ("legendre", f"{ell} a square modulo {p}?", v.dense)]
 
 
 def decide_binary_tree(f: BinaryForm, p: int) -> Verdict:
@@ -81,56 +108,25 @@ def decide_binary_tree(f: BinaryForm, p: int) -> Verdict:
     Node order is fixed: isotropic -> singular -> p odd -> k odd -> leaf.
     """
     fact = factor_discriminant(f, p)
-    path: list[PathNode] = []
-
-    iso = is_isotropic_mod_p(f, p)
-    path.append(PathNode("isotropic", f"Is the form isotropic modulo {p}?", _yn(iso)))
-    if not iso:
-        return _leaf(False, LEAF_ANISOTROPIC, path, fact)
-
-    sing = fact.k > 0
-    path.append(PathNode("singular", f"Is the form singular modulo {p}?", _yn(sing)))
-    if not sing:
-        return _leaf(True, LEAF_NONSINGULAR, path, fact)
-
-    odd = p != 2
-    path.append(PathNode("p-odd", f"Is p = {p} odd?", _yn(odd)))
-
-    k, ell = fact.k, fact.ell
-    k_odd = k % 2 == 1
-    path.append(PathNode(
-        "k-odd", f"Is the discriminant valuation k = {k} odd?", _yn(k_odd)))
-
-    if odd:
-        if k_odd:
-            return _leaf(False, LEAF_ODD_K_ODD, path, fact)
-        res = legendre(ell, p) == 1
-        path.append(PathNode(
-            "legendre",
-            f"Is the unit cofactor ell = {uncapped_text(str, ell)} a square "
-            f"modulo {p}?", _yn(res)))
-        return _leaf(res, LEAF_ODD_RESIDUE if res else LEAF_ODD_NONRESIDUE,
-                     path, fact)
-
-    if k_odd:
-        return _leaf(False, LEAF_TWO_K_ODD, path, fact)
-    one = ell % 8 == 1
-    path.append(PathNode(
-        "ell-mod-8", f"Is the unit cofactor ell = {uncapped_text(str, ell)} "
-        "congruent to 1 modulo 8?", _yn(one)))
-    return _leaf(one, LEAF_TWO_UNIT_SQUARE if one else LEAF_TWO_UNIT_NONSQUARE,
-                 path, fact)
+    if not is_isotropic_mod_p(f, p):
+        return Verdict(False, LEAF_ANISOTROPIC, fact)
+    if not fact.k:
+        return Verdict(True, LEAF_NONSINGULAR, fact)
+    if fact.k % 2:
+        return Verdict(False, LEAF_ODD_K_ODD if p != 2 else LEAF_TWO_K_ODD, fact)
+    if p != 2:
+        res = legendre(fact.ell, p) == 1
+        return Verdict(res, LEAF_ODD_RESIDUE if res else LEAF_ODD_NONRESIDUE,
+                       fact)
+    one = fact.ell % 8 == 1
+    return Verdict(one, LEAF_TWO_UNIT_SQUARE if one else LEAF_TWO_UNIT_NONSQUARE,
+                   fact)
 
 
 def decide_binary_squareclass(f: BinaryForm, p: int) -> Verdict:
     """One-step criterion: quotients are dense exactly when disc is a p-adic square."""
     fact = factor_discriminant(f, p)
-    dense = is_square_in_qp(fact.disc, 1, p)
-    path = [PathNode(
-        "square-class",
-        f"Is the discriminant {uncapped_text(str, fact.disc)} a square in the "
-        f"{p}-adic numbers?", _yn(dense))]
-    return _leaf(dense, TAG_SQUARE_CLASS, path, fact)
+    return Verdict(is_square_in_qp(fact.disc, 1, p), TAG_SQUARE_CLASS, fact)
 
 
 def decide(f: BinaryForm | GeneralForm, p: int) -> Verdict:
@@ -139,7 +135,7 @@ def decide(f: BinaryForm | GeneralForm, p: int) -> Verdict:
     if f.rank == 2:
         binary = f.to_binary()
         tree = decide_binary_tree(binary, p)
-        if tree.dense != is_square_in_qp(binary.discriminant(), 1, p):
+        if tree.dense != is_square_in_qp(tree.factorization.disc, 1, p):
             raise InternalConsistencyError(
                 f"deciders disagree on form {format_form(binary)} at p={p}: "
                 f"tree says dense={tree.dense} via {tree.theorem_tag}, "
@@ -148,5 +144,4 @@ def decide(f: BinaryForm | GeneralForm, p: int) -> Verdict:
     # rank 1: values are a*x^2, so quotients are exactly the rational squares,
     # which miss entire square classes of the p-adic numbers
     dense = f.rank >= 3
-    path = [PathNode("rank", f"Is the rank {f.rank} at least 3?", _yn(dense))]
-    return _leaf(dense, TAG_RANK_HIGH if dense else TAG_RANK_ONE, path, None)
+    return Verdict(dense, TAG_RANK_HIGH if dense else TAG_RANK_ONE, None, f.rank)

@@ -231,8 +231,8 @@ def _structured_witness(f: BinaryForm, p: int, tn: int, td: int, r: int,
                          "lift" if reduction is None else "reduce-lift")
 
 
-def _first_point(f, value: int, bounds) -> tuple[int, ...]:
-    """First lattice point in itertools.product order at which f takes value.
+def _first_points(f, pair, bound: int) -> list[tuple[int, ...]]:
+    """One walk of the box to bound: each value's first point in product order.
 
     The enumeration only visits the half box, the points before the origin
     in that order, and the origin; f(-x) = f(x) and one of x, -x lies in
@@ -240,26 +240,29 @@ def _first_point(f, value: int, bounds) -> tuple[int, ...]:
     0 that is the origin only when no other point of the first box has
     value 0.
     """
-    for lo, hi in bounds:
+    first, want = {}, set(pair)
+    for lo, hi in _expanding_bounds(bound):
         for where, vals in _shell_batches(f, lo, hi):
-            hits = np.flatnonzero(vals == value)
-            if hits.size:
-                return _point_at(f, where, int(hits[0]))
-    raise InternalConsistencyError(f"value {value} not found in the box")
+            for value in want - first.keys():
+                if (hits := np.flatnonzero(vals == value)).size:
+                    first[value] = _point_at(f, where, int(hits[0]))
+            if len(first) == len(want):
+                return [first[value] for value in pair]
+    raise InternalConsistencyError(f"values {pair} not found in the box")
 
 
 def _enumeration_witness(f, p: int, tn: int, td: int, r: int,
                          limit: int) -> Witness:
     if limit < 1:
         raise ValueError("budget must be at least 1")
-    bounds = list(_expanding_bounds(limit))
     values = np.zeros(0, dtype=np.int64)
-    for lo, hi in bounds:
+    for lo, hi in _expanding_bounds(limit):
         shell = _distinct(_shell_values(f, lo, hi))  # own dtype: a faster sort
         values = _distinct(np.concatenate([values, shell]))
         pair = _value_pair(values, p, tn, td, r)
         if pair is not None:
-            num, den = (_first_point(f, v, bounds) for v in pair)
+            # _expanding_bounds(hi) yields the shells searched so far
+            num, den = _first_points(f, pair, hi)
             return Witness.build(f, p, num, den, tn, td, r, "enumeration")
     raise BudgetExceededError(
         f"no witness found with coordinates up to {limit}", limit)

@@ -1,22 +1,29 @@
 import importlib
+import io
 import json
 import random
 import sys
+from contextlib import redirect_stdout
 from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qform import (ALL_TREE_LEAVES, LEAF_ANISOTROPIC, LEAF_NONSINGULAR,
                    LEAF_ODD_K_ODD, LEAF_ODD_NONRESIDUE, LEAF_ODD_RESIDUE,
                    LEAF_TWO_K_ODD, LEAF_TWO_UNIT_NONSQUARE,
                    LEAF_TWO_UNIT_SQUARE, TAG_RANK_HIGH, TAG_RANK_ONE,
                    TAG_SQUARE_CLASS, BinaryForm, GeneralForm,
-                   InternalConsistencyError, Prime, approximate_quotient,
-                   change_variables, coverage, decide,
-                   decide_binary_squareclass, decide_binary_tree,
-                   exclusion_certificate, is_square_in_qp)
+                   InternalConsistencyError, InvalidFormError, Prime,
+                   approximate_quotient, change_variables, coverage,
+                   cross_check, decide, decide_binary_squareclass,
+                   decide_binary_tree, exclusion_certificate,
+                   factor_discriminant, format_form, is_isotropic_mod_p,
+                   is_square_in_qp, legendre)
 from qform.cli import main
+from qform.padic import uncapped_text
 
 # the package re-exports the function decide, which hides the module attribute
 decide_mod = importlib.import_module("qform.decide")
@@ -231,3 +238,206 @@ def test_decide_past_the_int_digit_cap():
     assert len(verdict.path[-2].question) > 8400
     assert not decide_binary_squareclass(BIG_SINGULAR, p).dense
     assert digit_cap() == cap
+
+
+# primes of every tier the other tests use: small, 2, and the large primes
+PATH_PRIMES = (2, 3, 5, 7, 11, 13, 1009, 1000000007, 10**18 + 3,
+               3 * 10**24 + 7)
+
+
+def eager_path(f, p):
+    """Reference: (dense, tag, path) from the decision tree walked eagerly,
+    each question and answer written down as it is asked; path is a list of
+    JSON node dicts. A form of rank != 2 is asked its rank alone."""
+    path = []
+
+    def ask(node, question, yes):
+        path.append({"node": node, "question": question,
+                     "answer": "yes" if yes else "no"})
+        return yes
+
+    def leaf(dense, tag):
+        path.append({"node": tag, "question": "conclusion",
+                     "answer": "dense" if dense else "not dense"})
+        return dense, tag, path
+
+    if f.rank != 2:
+        dense = ask("rank", f"Is the rank {f.rank} at least 3?", f.rank >= 3)
+        return leaf(dense, TAG_RANK_HIGH if dense else TAG_RANK_ONE)
+    f = f.to_binary()
+    fact = factor_discriminant(f, p)
+    if not ask("isotropic", f"Is the form isotropic modulo {p}?",
+               is_isotropic_mod_p(f, p)):
+        return leaf(False, LEAF_ANISOTROPIC)
+    if not ask("singular", f"Is the form singular modulo {p}?", fact.k > 0):
+        return leaf(True, LEAF_NONSINGULAR)
+    odd = ask("p-odd", f"Is p = {p} odd?", p != 2)
+    k, ell = fact.k, fact.ell
+    k_odd = ask("k-odd", f"Is the discriminant valuation k = {k} odd?",
+                k % 2 == 1)
+    if odd:
+        if k_odd:
+            return leaf(False, LEAF_ODD_K_ODD)
+        res = ask("legendre",
+                  f"Is the unit cofactor ell = {uncapped_text(str, ell)} a "
+                  f"square modulo {p}?", legendre(ell, p) == 1)
+        return leaf(res, LEAF_ODD_RESIDUE if res else LEAF_ODD_NONRESIDUE)
+    if k_odd:
+        return leaf(False, LEAF_TWO_K_ODD)
+    one = ask("ell-mod-8", f"Is the unit cofactor ell = "
+              f"{uncapped_text(str, ell)} congruent to 1 modulo 8?",
+              ell % 8 == 1)
+    return leaf(one, LEAF_TWO_UNIT_SQUARE if one else LEAF_TWO_UNIT_NONSQUARE)
+
+
+def eager_square_class_path(f, p):
+    """Reference: the square-class criterion's one question, asked eagerly."""
+    disc = f.discriminant()
+    dense = is_square_in_qp(disc, 1, p)
+    return [{"node": "square-class",
+             "question": f"Is the discriminant {uncapped_text(str, disc)} a "
+                         f"square in the {p}-adic numbers?",
+             "answer": "yes" if dense else "no"},
+            {"node": TAG_SQUARE_CLASS, "question": "conclusion",
+             "answer": "dense" if dense else "not dense"}]
+
+
+def explain_text(f, p, path):
+    """Reference: `qform explain --plain` for a path of JSON node dicts."""
+    lines = [f"{format_form(f)} at p = {p}"]
+    for depth, node in enumerate(path, 1):
+        lines.append(f"{'  ' * depth}=> {node['answer']}  [{node['node']}]"
+                     if node["question"] == "conclusion" else
+                     f"{'  ' * depth}{node['question']}  {node['answer']}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def forms_at_primes(draw):
+    """(f, p): a primitive nonsingular form of rank 1 to 4 and a prime. A
+    binary form's b and c are scaled by powers of p, so that forms singular
+    mod p, and every leaf, turn up at the large primes too."""
+    p = draw(st.sampled_from(PATH_PRIMES))
+    rank = draw(st.sampled_from((1, 2, 2, 2, 3, 4)))
+    if rank == 2:
+        a, b, c = (draw(st.integers(-40, 40)) for _ in range(3))
+        i, j = (draw(st.integers(0, 3)) for _ in range(2))
+        coeffs = (a, b * p ** i, c * p ** j)
+    else:
+        coeffs = tuple(draw(st.integers(-6, 6))
+                       for _ in range(rank * (rank + 1) // 2))
+    try:
+        return (GeneralForm(rank, coeffs) if rank != 2
+                else BinaryForm(*coeffs)), p
+    except InvalidFormError:
+        assume(False)
+
+
+# every leaf of the tree, both rank tags, and leaves at a large prime;
+# every rank-2 example reaches the square-class tag as well
+PATH_EXAMPLES = [
+    (BinaryForm(1, 0, 1), 3), (BinaryForm(1, 0, 1), 5),
+    (BinaryForm(1, 0, -3), 3), (BinaryForm(1, 0, -9), 3),
+    (BinaryForm(1, 0, 9), 3), (BinaryForm(1, 0, 2), 2),
+    (BinaryForm(1, 0, -4), 2), (BinaryForm(1, 0, 1), 2),
+    (BinaryForm(1, 0, -(10**18 + 3) ** 2), 10**18 + 3),
+    (BinaryForm(1, 0, 10**18 + 3), 10**18 + 3),
+    (GeneralForm(2, (1, 0, -9)), 3), (GeneralForm(1, (-1,)), 7),
+    (GeneralForm(3, (1, 0, 0, 1, 0, 3)), 3),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms_at_primes())
+def test_lazy_path_matches_the_eager_reference(case):
+    # a verdict's path, built when read, equals the one the tree wrote as
+    # it walked: in Verdict.path, in its JSON and in `qform explain --plain`
+    f, p = case
+    p = Prime(p)
+    dense, tag, path = eager_path(f, p)
+    verdict = decide(f, p)
+    assert (verdict.dense, verdict.theorem_tag) == (dense, tag)
+    assert [n.to_json_dict() for n in verdict.path] == path
+    assert verdict.to_json_dict()["path"] == path
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["explain", "--plain", f"--form={format_form(f)}",
+                     "--prime", str(p)]) == 0
+    assert out.getvalue() == explain_text(f, p, path)
+    if f.rank == 2:
+        assert decide_binary_tree(f.to_binary(), p) == verdict
+        square = decide_binary_squareclass(f.to_binary(), p)
+        assert square.to_json_dict()["path"] == \
+            eager_square_class_path(f.to_binary(), p)
+
+
+for _case in PATH_EXAMPLES:
+    test_lazy_path_matches_the_eager_reference = \
+        example(_case)(test_lazy_path_matches_the_eager_reference)
+
+
+def test_path_examples_reach_every_tag():
+    tags = {eager_path(f, Prime(p))[1] for f, p in PATH_EXAMPLES}
+    assert tags == ALL_TREE_LEAVES | {TAG_RANK_HIGH, TAG_RANK_ONE}
+
+
+class PathBuilt(Exception):
+    pass
+
+
+def test_deciding_builds_no_path(monkeypatch):
+    # with PathNode unusable, everything that reads a verdict but not its
+    # path still runs, past the int-to-text digit cap too, and .path raises
+    def no_path_node(*args):
+        raise PathBuilt(args)
+
+    monkeypatch.setattr(decide_mod, "PathNode", no_path_node)
+    cases = [(BinaryForm(1, 0, 1), 5), (BinaryForm(1, 0, 1), 3),
+             (BinaryForm(1, 0, -9), 3), (BinaryForm(1, 0, -4), 2),
+             (BinaryForm(1, 0, 2), 2), (BIG_NONSINGULAR, 5), (BIG_SINGULAR, 5),
+             (GeneralForm(1, (1,)), 3), (GeneralForm(3, (1, 0, 0, 1, 0, 1)), 3)]
+    for f, p in cases:
+        p = Prime(p)
+        verdict = decide(f, p)
+        if f.rank == 2:
+            decide_binary_squareclass(f.to_binary(), p)
+        assert cross_check(f, p, 1, 4).passed
+        if verdict.dense:
+            approximate_quotient(f, p, 3, 7, 2)
+        elif f.rank == 2:
+            exclusion_certificate(f.to_binary(), p, verify_bound=4)
+        with pytest.raises(PathBuilt):
+            verdict.path
+        with pytest.raises(PathBuilt):
+            verdict.to_json_dict()
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """A product of elementary GL2(Z) matrices: shears, the swap and a sign
+    change, so determinants -1 and 1 both occur."""
+    m = ((1, 0), (0, 1))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("upper", "lower", "swap", "negate")))
+        (a, b), (c, d) = m
+        t = draw(st.integers(-5, 5))
+        m = {"upper": ((a + t * c, b + t * d), (c, d)),
+             "lower": ((a, b), (c + t * a, d + t * b)),
+             "swap": ((c, d), (a, b)),
+             "negate": ((-a, -b), (c, d))}[kind]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.integers(-40, 40)] * 3), unimodular_matrices(),
+       st.sampled_from(PATH_PRIMES))
+@example((1, 0, -9), ((0, 1), (1, 0)), 3)
+@example((1, 0, -4), ((1, 3), (0, -1)), 2)
+def test_verdict_json_invariant_under_unimodular_change(coeffs, m, p):
+    # ROADMAP item 5: GL2(Z) keeps the value set and the discriminant, so the
+    # whole verdict, path included, is the same
+    a, b, c = coeffs
+    assume(gcd(a, b, c) == 1 and b * b != 4 * a * c)
+    f, p = BinaryForm(a, b, c), Prime(p)
+    assert decide(change_variables(f, m), p).to_json_dict() == \
+        decide(f, p).to_json_dict()
