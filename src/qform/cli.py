@@ -75,14 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  "in the p-adic numbers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_decide = sub.add_parser("decide", help="dense or not, with both routes")
-    _add_form_arguments(p_decide)
-    p_decide.set_defaults(func=_cmd_decide)
-
-    p_explain = sub.add_parser("explain",
-                               help="decision path as question/answer lines")
-    _add_form_arguments(p_explain)
-    p_explain.set_defaults(func=_cmd_decide)
+    for name, text in (("decide", "dense or not, with both routes"),
+                       ("explain", "decision path as question/answer lines")):
+        p_verdict = sub.add_parser(name, help=text)
+        _add_form_arguments(p_verdict)
+        p_verdict.set_defaults(func=_cmd_decide)
 
     p_witness = sub.add_parser(
         "witness",
@@ -132,51 +129,44 @@ def _form_from_args(args):
     raise UsageError("a form is required: --form or --rank with --coeffs")
 
 
-def _prime_from_args(args) -> Prime:
-    try:
-        return Prime(args.prime)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _emit(args, payload: dict, plain) -> None:
-    """Print payload as JSON, or with --plain the text plain() builds, past
-    Python's int-to-text digit cap (a witness at a large --r); parsing keeps it."""
-    print(uncapped_text(plain if getattr(args, "plain", False)
-                        else lambda: json.dumps(payload, indent=2)))
+def _emit(args, payload, plain) -> None:
+    """Print the JSON of payload(), or with --plain the text plain(): only
+    the one printed is built. Both print past Python's int-to-text digit cap
+    (a witness at a large --r); parsing keeps it."""
+    print(uncapped_text(plain) if getattr(args, "plain", False) else
+          uncapped_text(functools.partial(json.dumps, indent=2), payload()))
 
 
 def _emit_record(args, head: dict, key: str, record: dict) -> None:
     """JSON of head with record under key; plain text is one "key: value"
     line per field of record."""
-    _emit(args, {**head, key: record},
+    _emit(args, lambda: {**head, key: record},
           lambda: "\n".join(f"{name}: {value}" for name, value in record.items()))
 
 
 def _cmd_decide(args) -> int:
     """decide and explain: the same JSON, different plain text."""
     f = _form_from_args(args)
-    p = _prime_from_args(args)
+    p = Prime(args.prime)
     verdict = decide(f, p)
-    if args.command == "explain":
-        lines = [f"{format_form(f)} at p = {int(p)}"]
-        for depth, node in enumerate(verdict.path):
-            pad = "  " * (depth + 1)
-            if node.question == "conclusion":
-                lines.append(f"{pad}=> {node.answer}  [{node.node}]")
-            else:
-                lines.append(f"{pad}{node.question}  {node.answer}")
-    else:
-        lines = [f"form:    {format_form(f)}",
-                 f"prime:   {int(p)}",
-                 f"dense:   {'yes' if verdict.dense else 'no'}",
-                 f"leaf:    {verdict.theorem_tag}"]
-        if verdict.factorization is not None:
-            lines.append(f"k, ell:  {verdict.factorization.k}, "
-                         f"{uncapped_text(str, verdict.factorization.ell)}")
-    payload = {"form": format_form(f), "prime": int(p),
-               "verdict": verdict.to_json_dict()}
-    _emit(args, payload, lambda: "\n".join(lines))
+
+    def explain():
+        return "\n".join([f"{format_form(f)} at p = {int(p)}"] + [
+            "  " * depth + (f"=> {node.answer}  [{node.node}]"
+                            if node.question == "conclusion"
+                            else f"{node.question}  {node.answer}")
+            for depth, node in enumerate(verdict.path, start=1)])
+
+    def summary():
+        fact = verdict.factorization
+        return "\n".join([f"form:    {format_form(f)}", f"prime:   {int(p)}",
+                          f"dense:   {'yes' if verdict.dense else 'no'}",
+                          f"leaf:    {verdict.theorem_tag}"]
+                         + ([f"k, ell:  {fact.k}, {fact.ell}"] if fact else []))
+
+    _emit(args, lambda: {"form": format_form(f), "prime": int(p),
+                         "verdict": verdict.to_json_dict()},
+          explain if args.command == "explain" else summary)
     return 0
 
 
@@ -217,7 +207,7 @@ def _coverage_bound(args, p: Prime) -> int:
 
 def _cmd_witness(args) -> int:
     f = _form_from_args(args)
-    p = _prime_from_args(args)
+    p = Prime(args.prime)
     budget = _witness_budget(args)
     verdict = decide(f, p)
     if verdict.dense:
@@ -241,7 +231,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_oracle(args) -> int:
     f = _form_from_args(args)
-    p = _prime_from_args(args)
+    p = Prime(args.prime)
     report = coverage(f, p, args.r, _coverage_bound(args, p))
     _emit_record(args, {"form": format_form(f), "prime": int(p)}, "report",
                  report.to_json_dict())
@@ -280,17 +270,18 @@ def _cmd_sweep(args) -> int:
             continue
         results.append(cross_check(f, p, args.r, bound))
     all_passed = all(rep.passed for rep in results)
-    payload = {"passed": all_passed,
-               "results": [rep.to_json_dict() for rep in results]}
-    plain_lines = [f"{'form':<24} {'p':>3} {'r':>2} {'bound':>6} "
-                   f"{'dense':<5} {'leaf':<28} pass"]
-    for rep in results:
-        plain_lines.append(
+
+    def table():
+        return "\n".join([f"{'form':<24} {'p':>3} {'r':>2} {'bound':>6} "
+                          f"{'dense':<5} {'leaf':<28} pass"] + [
             f"{rep.form_text:<24} {rep.p:>3} {rep.r:>2} {rep.bound:>6} "
             f"{'yes' if rep.dense else 'no':<5} {rep.theorem_tag:<28} "
-            f"{'ok' if rep.passed else 'FAIL'}")
-    plain_lines.append("all passed" if all_passed else "CROSS-CHECK FAILED")
-    _emit(args, payload, lambda: "\n".join(plain_lines))
+            f"{'ok' if rep.passed else 'FAIL'}" for rep in results]
+            + ["all passed" if all_passed else "CROSS-CHECK FAILED"])
+
+    _emit(args, lambda: {"passed": all_passed,
+                         "results": [rep.to_json_dict() for rep in results]},
+          table)
     # a failed cross-check is a bug and outranks a bad line
     return 2 if not all_passed else int(bad_lines)
 

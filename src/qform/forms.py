@@ -302,17 +302,14 @@ def parse_form(text: str) -> BinaryForm | GeneralForm:
     ignored everywhere.
     """
     s = text.strip()
+    left, general, right = s.partition(";")
     try:
-        if ";" in s:
-            left, right = s.split(";", 1)
-            rank = int(left)
-            coeffs = tuple(int(tok) for tok in right.split(","))
-            return GeneralForm(rank, coeffs)
-        parts = [int(tok) for tok in s.split(",")]
-    except ValueError as exc:
-        if isinstance(exc, InvalidFormError):
-            raise
+        rank = int(left) if general else 2
+        parts = [int(tok) for tok in (right if general else s).split(",")]
+    except ValueError:
         raise InvalidFormError(f"malformed form text {text!r}") from None
+    if general:
+        return GeneralForm(rank, tuple(parts))
     if len(parts) != 3:
         raise InvalidFormError(
             f"binary form text needs 3 coefficients, got {len(parts)}")

@@ -102,31 +102,20 @@ def legendre(a: int, p: int) -> int:
 def _sqrt_mod(a: int, p: int) -> int | None:
     """A square root of a modulo the odd prime p, or None for a nonresidue.
 
-    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
-    Theory, Algorithm 1.5.1): x**2 = a * b with b in the 2-Sylow subgroup,
-    and each step multiplies in a power of its generator z to shrink b's order.
+    Cipolla's method: with t least such that w = t*t - a is a nonresidue,
+    (t + u)**((p+1)/2) in F_p[u], u*u = w, squares to (t + u)(t - u) = a.
     """
     a %= p
-    if legendre(a, p) == -1:
-        return None
-    if a == 0:
-        return 0
-    e, q = split_unit(p - 1, 2)
-    nonresidue = next(n for n in range(2, p) if legendre(n, p) == -1)
-    z = pow(nonresidue, q, p)
-    x = pow(a, (q + 1) // 2, p)
-    b = pow(a, q, p)
-    while b != 1:
-        # least m with b**(2**m) = 1; m < e since a is a residue
-        m, t = 0, b
-        while t != 1:
-            t = t * t % p
-            m += 1
-        t = pow(z, 1 << (e - m - 1), p)
-        z = t * t % p
-        e = m
-        x = x * t % p
-        b = b * z % p
+    if legendre(a, p) != 1:
+        return None if a else 0
+    t = 0  # t = 0 counts: at p = 3, a = 1 it is the least t that works
+    while legendre(t * t - a, p) != -1:
+        t += 1
+    w, x, y = (t * t - a) % p, 1, 0
+    for bit in bin((p + 1) // 2)[2:]:  # x + y*u, square and multiply
+        x, y = (x * x + y * y * w) % p, 2 * x * y % p
+        if bit == "1":
+            x, y = (x * t + y * w) % p, (x + y * t) % p
     return x
 
 
@@ -143,18 +132,15 @@ def mod_inverse(a: int, m: int) -> int:
 def is_square_in_qp(num: int, den: int, p: int) -> bool:
     """Whether num/den is a square p-adically. Zero counts as a square.
 
-    A nonzero rational is a square exactly when its valuation is even and its
-    unit part u satisfies: u a quadratic residue mod p (odd p), or u = 1 mod 8
-    (p = 2).
+    num/den = num*den / den**2, so it is a square exactly when num*den has
+    even valuation and a unit part u that is a quadratic residue mod p (odd
+    p), or u = 1 mod 8 (p = 2).
     """
     if den == 0:
         raise ValueError("denominator is zero")
     if num == 0:
         return True
-    vn, un = split_unit(num, p)
-    vd, ud = split_unit(den, p)
-    if (vn - vd) % 2:
+    v, u = split_unit(num * den, p)
+    if v % 2:
         return False
-    if p == 2:
-        return un * pow(ud, -1, 8) % 8 == 1
-    return legendre(un * pow(ud, -1, p), p) == 1
+    return u % 8 == 1 if p == 2 else legendre(u, p) == 1

@@ -1,3 +1,4 @@
+import importlib
 import io
 import itertools
 import json
@@ -426,6 +427,78 @@ def test_out_of_memory_exit_code(capsys, monkeypatch):
                              "7", "--r", "4")
         assert (code, out) == (1, "")
         assert err == f"error: out of memory: {shown}\n"
+
+
+@pytest.mark.parametrize("argv, budget_env, message", [
+    (("decide", "--coeffs", "1,0,1", "--prime", "5"), None,
+     "--coeffs needs --rank"),
+    (("witness", "--form", "1,0,1", "--prime", "5", "--target", "3"), "abc",
+     "QFORM_MAX_BUDGET must be an integer"),
+    (("witness", "--rank", "1", "--coeffs", "-1", "--prime", "3"), None,
+     "exclusion certificates are built for binary forms; this form is not "
+     "dense but has rank 1"),
+    (("decide", "--form", "1,0,1", "--prime", "3317044064679887385961981"),
+     None, "3317044064679887385961981 is beyond the deterministic primality "
+     "range"),
+])
+def test_usage_error_exact_message(capsys, monkeypatch, argv, budget_env,
+                                   message):
+    if budget_env is not None:
+        monkeypatch.setenv("QFORM_MAX_BUDGET", budget_env)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_sweep_line_without_prime(capsys, tmp_path):
+    # the line is reported with its number and the other lines still run
+    cfg = tmp_path / "forms.cfg"
+    cfg.write_text("1,0,1\n"
+                   "1,0,1 5\n"
+                   "1,0,1 3\n")
+    code, out, err = run(capsys, "sweep", "--config", str(cfg), "--r", "2")
+    assert code == 1
+    assert err == "error: config line 1: expected '<form> <prime>', got '1,0,1'\n"
+    assert [row["p"] for row in json.loads(out)["results"]] == [5, 3]
+
+
+def test_cli_builds_each_rendering_once(capsys, monkeypatch):
+    # PathNodes built per call: the JSON's path once, --plain decide none,
+    # explain's lines once
+    decide_mod = importlib.import_module("qform.decide")
+    real, built = decide_mod.PathNode, []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decide_mod, "PathNode", counted)
+    counts = []
+    for command, plain in itertools.product(("decide", "explain"),
+                                            ((), ("--plain",))):
+        built.clear()
+        code, out, err = run(capsys, command, "--form", "1,0,-9", "--prime",
+                             "3", *plain)
+        assert (code, err) == (0, "") and out
+        counts.append(len(built))
+    assert counts == [6, 0, 6, 6]
+
+
+def test_plain_output_builds_no_json(capsys, tmp_path, monkeypatch):
+    # with --plain neither the verdict's path nor a report's JSON is built
+    import qform.oracle as oracle_mod
+    decide_mod = importlib.import_module("qform.decide")
+
+    def unusable(*args):
+        raise AssertionError("built for output that is not printed")
+
+    monkeypatch.setattr(decide_mod, "PathNode", unusable)
+    code, out, err = run(capsys, "decide", "--form", "1,0,-9", "--prime", "3",
+                         "--plain")
+    assert (code, err) == (0, "") and "leaf:    odd-singular-residue" in out
+    monkeypatch.setattr(oracle_mod.CrossCheckReport, "to_json_dict", unusable)
+    cfg = tmp_path / "forms.cfg"
+    cfg.write_text("1,0,1 5\n1,0,1 3\n")
+    code, out, err = run(capsys, "sweep", "--config", str(cfg), "--plain")
+    assert (code, err) == (0, "") and out.endswith("all passed\n")
 
 
 def test_parser_is_built_once(capsys):

@@ -410,6 +410,10 @@ def test_deciding_builds_no_path(monkeypatch):
             verdict.path
         with pytest.raises(PathBuilt):
             verdict.to_json_dict()
+        # nor does the CLI's plain verdict
+        with redirect_stdout(io.StringIO()):
+            assert main(["decide", f"--form={format_form(f)}", "--prime",
+                         str(p), "--plain"]) == 0
 
 
 @st.composite

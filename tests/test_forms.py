@@ -230,6 +230,40 @@ def test_two_singular_reduction_rejects():
         two_singular_reduction(BinaryForm(1, 0, 1))     # ell = -1, not 1 mod 8
 
 
+@st.composite
+def even_singular_forms(draw):
+    """(f, p, g, k): f is g under a substitution of determinant +-p**(k/2),
+    so disc(f) = p**k * disc(g) with disc(g) prime to p, and 1 mod 8 at
+    p = 2. Either outer coefficient of f can be the unit one."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 1009, 10**9 + 7)))
+    j = draw(st.integers(1, 5))
+    coeffs = draw(st.tuples(*[st.integers(-40, 40)] * 3))
+    u = draw(st.integers(0, p ** (2 * j) - 1))
+    try:
+        g = BinaryForm(*coeffs)
+    except InvalidFormError:
+        assume(False)
+    d = g.discriminant()
+    assume(d % 8 == 1 if p == 2 else d % p)
+    assume(g.evaluate((u, 1)) % p)
+    m = ((u, p ** j), (1, 0)) if draw(st.booleans()) else ((p ** j, u), (0, 1))
+    return change_variables(g, m), p, g, 2 * j
+
+
+@settings(max_examples=300, deadline=None)
+@given(even_singular_forms(),
+       st.lists(st.tuples(*[st.integers(-10**6, 10**6)] * 2), min_size=1,
+                max_size=8))
+def test_pull_back_scales_values_by_p_to_the_k(case, points):
+    # ROADMAP item 5: f(pull_back(x)) = p**k * reduced(x), exactly
+    f, p, g, k = case
+    red = two_singular_reduction(f) if p == 2 else odd_singular_reduction(f, p)
+    assert red.k == k
+    assert red.reduced.discriminant() == g.discriminant()
+    for x in points:
+        assert f.evaluate(red.pull_back(x)) == p**k * red.reduced.evaluate(x)
+
+
 def test_arnold_compose_example():
     f = BinaryForm(1, 0, 1)
     p1, p2, p3 = (1, 2), (2, 3), (1, 4)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import qform.oracle as oracle_mod
 from qform import (BinaryForm, GeneralForm, Prime, coverage, cross_check,
                    decide, excluded_classes, valuation)
-from qform.oracle import (_ResidueTracker, _distinct, _point_at, _shell_batches,
-                          _value_pair)
+from qform.oracle import (_ResidueTracker, _distinct, _expanding_bounds,
+                          _point_at, _shell_batches, _value_pair)
 
 rng = random.Random(0x0c1e)
 
@@ -279,6 +279,28 @@ def test_tracker_equivalent_to_pairing(case):
         nums = {v // p ** s % m for v in nonzero if valuation(v, p) >= s}
         pairs += len(nums) * len({n for n in nums if n % p})
     assert tracker.pairs_sampled() == pairs
+
+
+def test_positive_values_cover_the_same_residues():
+    # ROADMAP item 5, paper fidelity: the paper's A is the set of positive
+    # values, the oracle pairs signed ones. Over primitive forms in [-4,4]^3
+    # of positive discriminant (indefinite, so no form needs -f), a tracker
+    # fed only the positive values of the same shells covers exactly
+    # coverage's set
+    span = range(-4, 5)
+    forms = [BinaryForm(a, b, c) for a, b, c in product(span, repeat=3)
+             if gcd(gcd(a, b), c) == 1 and b * b - 4 * a * c > 0]
+    assert len(forms) * 8 == 2912
+    for f, p, r in product(forms, (2, 3, 5, 7), (1, 2)):
+        bound = 10 * p**r
+        positive = _ResidueTracker(p, r)
+        for lo, hi in _expanding_bounds(bound):
+            for _, batch in _shell_batches(f, lo, hi):
+                positive.add_batch(batch[batch > 0])
+            if positive.full:
+                break
+        assert set(np.flatnonzero(positive.covered).tolist()) == \
+            coverage(f, Prime(p), r, bound).covered, (f, p, r)
 
 
 def test_excluded_classes_examples():

@@ -12,10 +12,10 @@ import qform.oracle as oracle_mod
 import qform.witness as witness_mod
 from qform import (BinaryForm, BudgetExceededError, GeneralForm,
                    InternalConsistencyError, Prime, approximate_quotient,
-                   decide, excluded_classes, exclusion_certificate,
-                   is_isotropic_mod_p, lift_representation,
-                   lift_representation_two, quotient_error_valuation,
-                   valuation)
+                   change_variables, decide, excluded_classes,
+                   exclusion_certificate, is_isotropic_mod_p, is_prime,
+                   lift_representation, lift_representation_two,
+                   quotient_error_valuation, valuation)
 
 rng = random.Random(0x817)
 
@@ -252,6 +252,59 @@ def test_approximate_quotient_random_binary():
         r = rng.randint(1, 4)
         w = approximate_quotient(f, p, tn, td, r)
         assert_witness_hits(f, p, w, tn, td, r)
+
+
+def fraction_valuation(q: Fraction, p: int) -> int | float:
+    """v_p of a rational by repeated division, apart from qform's padic."""
+    if q == 0:
+        return inf
+    v = 0
+    for part, sign in ((q.numerator, 1), (q.denominator, -1)):
+        while part % p == 0:
+            part //= p
+            v += sign
+    return v
+
+
+def next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@st.composite
+def dense_binary_cases(draw):
+    """(f, p, strategy): a dense binary form at a prime below 3.3e24, either
+    small or the first prime from a random integer on. reduce-lift forms
+    are g under a substitution of determinant p**j, so p**(2j) divides the
+    discriminant and the verdict is g's."""
+    p = draw(st.one_of(st.sampled_from((2, 3, 5, 7)),
+                       st.integers(8, 3 * 10**24).map(next_prime)))
+    coeffs = draw(st.tuples(*[st.integers(-40, 40)] * 3))
+    assume(gcd(*coeffs) == 1 and coeffs[1] ** 2 - 4 * coeffs[0] * coeffs[2])
+    g = BinaryForm(*coeffs)
+    assume(g.discriminant() % p)
+    j = draw(st.integers(0, 3))
+    u = draw(st.integers(0, p ** (2 * j) - 1))
+    assume(g.evaluate((u, 1)) % p)
+    f = change_variables(g, ((p ** j, u), (0, 1)))
+    assume(decide(f, Prime(p)).dense)
+    return f, Prime(p), "reduce-lift" if j else "lift"
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_binary_cases(), st.integers(-99, 99), st.integers(1, 99),
+       st.integers(1, 40))
+def test_binary_witness_revalidates_at_random_primes(case, tn, td, r):
+    # ROADMAP item 5: the quotient of the witness points is within p**-r of
+    # tn/td by Fraction arithmetic
+    f, p, strategy = case
+    w = approximate_quotient(f, p, tn, td, r)
+    assert w.strategy == strategy
+    den = f.evaluate(w.den_point)
+    assert den != 0
+    diff = Fraction(f.evaluate(w.num_point), den) - Fraction(tn, td)
+    assert fraction_valuation(diff, p) >= r
 
 
 def test_approximate_quotient_rank_three():
