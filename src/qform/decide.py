@@ -11,6 +11,7 @@ they differ; rank 1 is never dense and rank >= 3 always is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalConsistencyError
 from .forms import (BinaryForm, DiscFactorization, GeneralForm,
@@ -48,8 +49,7 @@ class PathNode:
         return {"node": self.node, "question": self.question, "answer": self.answer}
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(NamedTuple):
     dense: bool
     theorem_tag: str
     factorization: DiscFactorization | None
@@ -133,6 +133,7 @@ def decide(f: BinaryForm | GeneralForm, p: int) -> Verdict:
     """Decide any form by its rank: 1 never dense, >= 3 always dense, 2 by the
     tree on f.to_binary(), whose dense must equal the square-class criterion's."""
     if f.rank == 2:
+        p = int(p)  # a Prime pays the int-subclass path on every use
         binary = f.to_binary()
         tree = decide_binary_tree(binary, p)
         if tree.dense != is_square_in_qp(tree.factorization.disc, 1, p):

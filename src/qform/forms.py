@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalConsistencyError
 from .padic import legendre, mod_inverse, split_unit
@@ -137,26 +138,23 @@ class GeneralForm:
         return BinaryForm(self.coeffs[0], self.coeffs[1], self.coeffs[2])
 
 
-@dataclass(frozen=True, slots=True)
-class DiscFactorization:
-    """disc = p**k * ell with p not dividing ell."""
+class DiscFactorization(NamedTuple):
+    """disc = p**k * ell with p not dividing ell, as factor_discriminant checks."""
 
     p: int
     k: int
     ell: int
     disc: int
 
-    def __post_init__(self):
-        if self.p ** self.k * self.ell != self.disc or self.ell % self.p == 0:
-            raise InternalConsistencyError(
-                f"bad factorization {self.p}**{self.k} * {self.ell} != {self.disc}")
-
 
 def factor_discriminant(f: BinaryForm, p: int) -> DiscFactorization:
     """Split the discriminant as p**k * ell with ell coprime to p."""
-    d = f.discriminant()
+    d, p = f.discriminant(), int(p)
     k, ell = split_unit(d, p)
-    return DiscFactorization(p=int(p), k=k, ell=ell, disc=d)
+    if p ** k * ell != d or ell % p == 0:
+        raise InternalConsistencyError(
+            f"bad factorization {p}**{k} * {ell} != {d}")
+    return DiscFactorization(p, k, ell, d)
 
 
 def is_isotropic_mod_p(f: BinaryForm, p: int) -> bool:

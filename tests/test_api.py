@@ -23,4 +23,4 @@ def test_source_stays_small():
     # raises this bound and says so in CHANGES.md
     lines = sum(len(path.read_text(encoding="utf-8").splitlines())
                 for path in Path(qform.__file__).parent.glob("*.py"))
-    assert lines <= 1692
+    assert lines <= 1691

@@ -179,6 +179,56 @@ def test_general_rank_two_delegates(capsys):
             _witness_command(capsys, f"2; {a},{b},{c}", p)
 
 
+def test_verdict_records_keep_their_contract():
+    # Verdict and DiscFactorization are named tuples that keep a frozen
+    # record's text, immutability, field-wise equality and hashing
+    v = decide(BinaryForm(1, 0, -9), Prime(3))
+    assert repr(v) == (
+        "Verdict(dense=True, theorem_tag='odd-singular-residue', "
+        "factorization=DiscFactorization(p=3, k=2, ell=4, disc=36), rank=2)")
+    for record, field in ((v, "dense"), (v, "rank"), (v.factorization, "ell")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    twin = decide(GeneralForm(2, (1, 0, -9)), 3)
+    assert twin == v and hash(twin) == hash(v) and len({v, twin}) == 1
+    assert v != decide(BinaryForm(1, 0, 9), Prime(3))
+    for g, dense, tag in ((GeneralForm(1, (-1,)), False, TAG_RANK_ONE),
+                          (GeneralForm(3, (1, 0, 0, 1, 0, 1)), True,
+                           TAG_RANK_HIGH),
+                          (GeneralForm(4, (1, 0, 0, 0, 1, 0, 0, 1, 0, 1)), True,
+                           TAG_RANK_HIGH)):
+        v = decide(g, Prime(5))
+        assert (v.factorization, v.rank) == (None, g.rank)
+        assert repr(v) == (f"Verdict(dense={dense}, theorem_tag={tag!r}, "
+                           f"factorization=None, rank={g.rank})")
+        assert hash(v) == hash(decide(g, 5))
+
+
+def test_decide_reads_a_prime_as_a_plain_int(monkeypatch):
+    # decide hands the tree int(p) once: a Prime and a plain int give the
+    # same verdict, and the factorization always holds a plain int
+    seen = []
+
+    def tree(f, p):
+        seen.append(type(p))
+        return decide_binary_tree(f, p)
+
+    monkeypatch.setattr(decide_mod, "decide_binary_tree", tree)
+    for coeffs in product(range(-4, 5), repeat=3):
+        if gcd(*coeffs) != 1 or coeffs[1] ** 2 == 4 * coeffs[0] * coeffs[2]:
+            continue
+        f = BinaryForm(*coeffs)
+        for p in (2, 3, 5, 7, 13, 1000000007, 3 * 10**24 + 7):
+            verdict = decide(f, Prime(p))
+            assert verdict == decide(f, p)
+            assert verdict.to_json_dict() == decide(f, p).to_json_dict()
+            assert type(verdict.factorization.p) is int
+            assert type(factor_discriminant(f, Prime(p)).p) is int
+    assert set(seen) == {int}
+    with pytest.raises(ValueError, match="15 is not a prime number"):
+        Prime(15)
+
+
 def test_decide_general_matches_decide():
     g = GeneralForm(4, (1, 0, 0, 0, 1, 0, 0, 1, 0, 1))
     v = decide(g, 3)

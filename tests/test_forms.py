@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 from math import gcd
 
@@ -6,10 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qform import (BinaryForm, GeneralForm, InvalidFormError, arnold_compose,
-                   change_variables, factor_discriminant, format_form,
-                   is_isotropic_mod_p, odd_singular_reduction, parse_form,
-                   two_singular_reduction, valuation)
+import qform.forms as forms_mod
+from qform import (BinaryForm, GeneralForm, InternalConsistencyError,
+                   InvalidFormError, Prime, arnold_compose, change_variables,
+                   decide, decide_binary_squareclass, decide_binary_tree,
+                   factor_discriminant, format_form, is_isotropic_mod_p,
+                   odd_singular_reduction, parse_form, two_singular_reduction,
+                   valuation)
+from qform.cli import main
 
 rng = random.Random(0xf0e)
 
@@ -106,6 +111,32 @@ def test_factor_discriminant():
     assert (fact2.k, fact2.ell) == (2, -1)
     fact3 = factor_discriminant(BinaryForm(1, 1, 1), 5)
     assert (fact3.k, fact3.ell) == (0, -3)
+
+
+@pytest.mark.parametrize("coeffs, p, wrong, text", [
+    # p**k * ell misses the discriminant
+    ((1, 0, 1), 5, (1, -4), "bad factorization 5**1 * -4 != -4"),
+    # the product is right but p still divides ell
+    ((1, 0, -9), 3, (0, 36), "bad factorization 3**0 * 36 != 36"),
+])
+def test_factor_discriminant_checks_its_split(monkeypatch, capsys, coeffs, p,
+                                              wrong, text):
+    # factor_discriminant checks every split it returns, and no caller
+    # swallows the error: the library raises and the CLI exits 2
+    monkeypatch.setattr(forms_mod, "split_unit", lambda n, q: wrong)
+    f = BinaryForm(*coeffs)
+    for call in (factor_discriminant, decide_binary_tree,
+                 decide_binary_squareclass, decide):
+        for prime in (p, Prime(p)):
+            with pytest.raises(InternalConsistencyError,
+                               match=f"^{re.escape(text)}$"):
+                call(f, prime)
+    for command in ("decide", "explain"):
+        for plain in ([], ["--plain"]):
+            assert main([command, "--form", format_form(f), "--prime", str(p),
+                         *plain]) == 2
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", f"internal consistency failure: {text}\n")
 
 
 def isotropic_by_scan(f, p):
