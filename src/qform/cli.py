@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .decide import decide
 from .errors import BudgetExceededError, InternalConsistencyError
-from .forms import InvalidFormError, format_form, parse_form
+from .forms import format_form, parse_form
 from .oracle import (COVERAGE_BOUND_FACTOR, coverage, coverage_modulus,
                      cross_check)
 from .padic import Prime, uncapped_text
@@ -218,12 +218,8 @@ def _cmd_witness(args) -> int:
         key, evidence = "witness", approximate_quotient(
             f, p, target.numerator, target.denominator, args.r, budget=budget)
     else:
-        if f.rank != 2:
-            raise UsageError("exclusion certificates are built for binary "
-                             "forms; this form is not dense but has rank "
-                             f"{f.rank}")
         key, evidence = "certificate", exclusion_certificate(
-            f.to_binary(), p, verify_bound=budget)
+            f, p, verify_bound=budget)
     _emit_record(args, {"form": format_form(f), "prime": int(p),
                         "dense": verdict.dense}, key, evidence.to_json_dict())
     return 0
@@ -299,8 +295,7 @@ def main(argv=None) -> int:
         if getattr(args, "bound", None) is not None and args.bound < 1:
             raise UsageError("--bound must be at least 1")
         return args.func(args)
-    except (UsageError, InvalidFormError, BudgetExceededError,
-            ValueError) as exc:
+    except (UsageError, BudgetExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

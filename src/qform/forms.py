@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
@@ -99,7 +100,7 @@ class GeneralForm:
         if len(self.coeffs) != want:
             raise InvalidFormError(
                 f"rank {self.rank} needs {want} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(int(v) for v in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
         if math.gcd(*self.coeffs) != 1:
             raise InvalidFormError("form is not primitive: coefficients share a factor")
         if self.determinant() == 0:
@@ -189,30 +190,36 @@ class SingularReduction:
         return m11 * x + m12 * y, m21 * x + m22 * y
 
 
-def _even_factorization(f: BinaryForm, p: int) -> DiscFactorization:
+def _singular_reduction(f: BinaryForm, p: int) -> SingularReduction:
+    """Strip p**k from the discriminant, for k even and at least 2.
+
+    Substituting x -> t1 x + t2 y, for the top row (t1, t2), makes the
+    coefficients divisible by p**k; dividing them out leaves a form of
+    discriminant ell = disc / p**k. When p divides a the substitution goes
+    into y instead, and c takes the part of the unit a below.
+    At odd p the top row is (-p**(k/2), -u), for the least nonnegative u with
+    2au = b mod p**k. At p = 2 it is (2**(k/2), q), for
+    q = -b/(2a) + 2**(k/2-1) mod 2**k: b is even as soon as 2 divides the
+    discriminant, primitivity then makes one of a, c odd, and ell = 1 mod 8
+    is what makes the last division exact.
+    """
     fact = factor_discriminant(f, p)
     if fact.k < 2 or fact.k % 2:
         raise ValueError(
             f"discriminant valuation must be even and at least 2, got k={fact.k}")
-    return fact
-
-
-def _outer_unit(f: BinaryForm, p: int) -> tuple[int, bool]:
-    """The outer coefficient prime to p, a if it is one, and whether it is c."""
-    if f.a % p:
-        return f.a, False
-    if f.c % p == 0:
+    if p == 2 and fact.ell % 8 != 1:
+        raise ValueError(f"unit cofactor must be 1 mod 8, got {fact.ell % 8}")
+    if p == 2 and f.b % 2:
+        raise InternalConsistencyError("even discriminant forces an even middle coefficient")
+    swapped = f.a % p == 0
+    a = f.c if swapped else f.a
+    if a % p == 0:
         raise InternalConsistencyError(
             f"{p} divides both outer coefficients of a primitive form")
-    return f.c, True
-
-
-def _reduce(f: BinaryForm, fact: DiscFactorization, top,
-            swapped: bool) -> SingularReduction:
-    """Compose f with the matrix of rows top and (0, 1), exchanged when
-    swapped, and divide p**k out of every coefficient."""
+    pk, half = p ** fact.k, p ** (fact.k // 2)
+    top = (half, (-(f.b // 2) * mod_inverse(a, pk) + half // 2) % pk) if p == 2 \
+        else (-half, -(f.b * mod_inverse(2 * a, pk) % pk))
     matrix = ((0, 1), top) if swapped else (top, (0, 1))
-    pk = fact.p ** fact.k
     coeffs = _compose(f, matrix)
     if any(v % pk for v in coeffs):
         raise InternalConsistencyError("reduction divisions are not exact")
@@ -224,39 +231,15 @@ def _reduce(f: BinaryForm, fact: DiscFactorization, top,
 
 
 def odd_singular_reduction(f: BinaryForm, p: int) -> SingularReduction:
-    """Reduce f at an odd prime whose discriminant valuation k is even, >= 2.
-
-    Substituting x -> -p**(k/2) x - u y (into y when p divides a), for the
-    least nonnegative u with 2au = b mod p**k with a the unit, makes the coefficients divisible by p**k; dividing them
-    out leaves a form of discriminant ell = disc / p**k.
-    """
+    """Reduce f at an odd prime whose discriminant valuation k is even, >= 2."""
     if p == 2:
         raise ValueError("reduction requires an odd prime")
-    fact = _even_factorization(f, p)
-    a, swapped = _outer_unit(f, p)
-    pk = p ** fact.k
-    u = f.b * mod_inverse(2 * a, pk) % pk
-    return _reduce(f, fact, (-p ** (fact.k // 2), -u), swapped)
+    return _singular_reduction(f, p)
 
 
 def two_singular_reduction(f: BinaryForm) -> SingularReduction:
-    """Reduce f at 2 when the discriminant valuation k is even and ell = 1 mod 8.
-
-    b is even as soon as 2 divides the discriminant, and primitivity then makes
-    one of a, c odd. Substituting x -> 2**(k/2) x + q y (into y when a is
-    even), for q = -b/(2a) + 2**(k/2-1) mod 2**k, makes the coefficients divisible by
-    2**k; ell = 1 mod 8 is what makes the last division exact.
-    """
-    fact = _even_factorization(f, 2)
-    if fact.ell % 8 != 1:
-        raise ValueError(f"unit cofactor must be 1 mod 8, got {fact.ell % 8}")
-    if f.b % 2:
-        raise InternalConsistencyError("even discriminant forces an even middle coefficient")
-    a, swapped = _outer_unit(f, 2)
-    pk = 2 ** fact.k
-    half = 2 ** (fact.k // 2)
-    q = (-(f.b // 2) * mod_inverse(a, pk) + half // 2) % pk
-    return _reduce(f, fact, (half, q), swapped)
+    """Reduce f at 2 when the discriminant valuation k is even and ell = 1 mod 8."""
+    return _singular_reduction(f, 2)
 
 
 def arnold_compose(f: BinaryForm, p1, p2, p3) -> tuple[int, int]:

@@ -7,6 +7,7 @@ overflow anywhere in the pipeline.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 
 INFINITY = math.inf
@@ -47,7 +48,7 @@ class Prime(int):
     __slots__ = ()
 
     def __new__(cls, value: int) -> "Prime":
-        if not is_prime(int(value)):
+        if not is_prime(operator.index(value)):
             raise ValueError(f"{value} is not a prime number")
         return super().__new__(cls, value)
 

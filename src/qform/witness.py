@@ -13,8 +13,8 @@ no quotient at all, and verifies that claim by exhaustive search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import count
-from math import gcd
 
 import numpy as np
 
@@ -177,13 +177,6 @@ class ExclusionCertificate:
                 "justification": self.justification}
 
 
-def _reduce_target(num: int, den: int) -> tuple[int, int]:
-    if den == 0:
-        raise ValueError("target denominator is zero")
-    g = gcd(num, den) if den > 0 else -gcd(num, den)
-    return num // g, den // g
-
-
 def approximate_quotient(f, p: int, target_num: int, target_den: int,
                          r: int, budget: int = DEFAULT_BUDGET) -> Witness:
     """Witness that some value quotient lies within p**-r of the target.
@@ -194,7 +187,9 @@ def approximate_quotient(f, p: int, target_num: int, target_den: int,
     """
     if r < 1:
         raise ValueError("precision must be at least 1")
-    tn, td = _reduce_target(target_num, target_den)
+    if target_den == 0:
+        raise ValueError("target denominator is zero")
+    tn, td = Fraction(target_num, target_den).as_integer_ratio()
     verdict = decide(f, p)
     if not verdict.dense:
         raise ValueError(
@@ -268,21 +263,25 @@ def _enumeration_witness(f, p: int, tn: int, td: int, r: int,
         f"no witness found with coordinates up to {limit}", limit)
 
 
-def exclusion_certificate(f: BinaryForm, p: int,
-                          verify_bound: int = DEFAULT_BUDGET
+def exclusion_certificate(f, p: int, verify_bound: int = DEFAULT_BUDGET
                           ) -> ExclusionCertificate:
     """Certificate for a not-dense verdict, checked by exhaustive search.
 
-    The ball is the least class the oracle's excluded_classes forbids, at
-    the first precision where it forbids any. No quotient q may satisfy
-    val(q - target) > radius_exponent; verification enumerates every value
-    pair with coordinates up to verify_bound and confirms none does.
+    f is a BinaryForm or a rank-2 GeneralForm. The ball is the least class
+    the oracle's excluded_classes forbids, at the first precision where it
+    forbids any. No quotient q may satisfy val(q - target) > radius_exponent;
+    verification enumerates every value pair with coordinates up to
+    verify_bound and confirms none does.
     """
     if verify_bound < 1:
         raise ValueError("verify_bound must be at least 1")
     verdict = decide(f, p)
     if verdict.dense:
         raise ValueError("quotients are dense; no exclusion certificate exists")
+    if f.rank != 2:
+        raise ValueError("exclusion certificates are built for binary forms; "
+                         f"this form is not dense but has rank {f.rank}")
+    f = f.to_binary()
     r0, test, why = _obstruction(verdict, p)
     # test(p) holds only on the parity leaves, where p is the least target
     target = p if test(p) else next(z for z in count(1) if test(z))

@@ -3,6 +3,7 @@ import re
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -92,6 +93,17 @@ def test_general_form_validation():
         GeneralForm(3, (1, 0, 0, 1, 0, 0))        # rank drop
     with pytest.raises(InvalidFormError):
         GeneralForm(0, ())
+
+
+def test_general_form_refuses_non_integers():
+    # int() would truncate 1.5 and build x^2 + y^2 + z^2
+    with pytest.raises(TypeError):
+        GeneralForm(3, (1.5, 0, 0, 1, 0, 1))
+    with pytest.raises(TypeError):
+        BinaryForm(1.5, 0, 1)
+    g = GeneralForm(3, (np.int64(1), 0, 0, Prime(3), 0, np.int32(1)))
+    assert g.coeffs == (1, 0, 0, 3, 0, 1)
+    assert all(type(v) is int for v in g.coeffs)
 
 
 def test_general_to_binary():
@@ -215,11 +227,13 @@ def test_odd_singular_reduction_properties():
 
 
 def test_odd_singular_reduction_rejects():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^discriminant valuation must be "
+                       "even and at least 2, got k=0$"):
         odd_singular_reduction(BinaryForm(1, 0, 1), 3)      # k = 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^discriminant valuation must be "
+                       "even and at least 2, got k=1$"):
         odd_singular_reduction(BinaryForm(1, 0, -3), 3)     # k = 1 odd
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^reduction requires an odd prime$"):
         odd_singular_reduction(BinaryForm(1, 0, -4), 2)     # p = 2
 
 
@@ -253,11 +267,15 @@ def test_two_singular_reduction_properties():
 
 
 def test_two_singular_reduction_rejects():
-    with pytest.raises(ValueError):
-        two_singular_reduction(BinaryForm(1, 1, 1))     # disc odd
-    with pytest.raises(ValueError):
+    # disc -3 is odd and also 5 mod 8: the valuation is checked first
+    with pytest.raises(ValueError, match="^discriminant valuation must be "
+                       "even and at least 2, got k=0$"):
+        two_singular_reduction(BinaryForm(1, 1, 1))
+    with pytest.raises(ValueError, match="^discriminant valuation must be "
+                       "even and at least 2, got k=3$"):
         two_singular_reduction(BinaryForm(1, 0, 2))     # k = 3 odd
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unit cofactor must be 1 mod 8, "
+                       "got 7$"):
         two_singular_reduction(BinaryForm(1, 0, 1))     # ell = -1, not 1 mod 8
 
 

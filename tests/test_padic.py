@@ -2,6 +2,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -112,6 +113,15 @@ def test_prime_type():
     for bad in (0, 1, 4, 9, 561):
         with pytest.raises(ValueError):
             Prime(bad)
+
+
+def test_prime_refuses_non_integers():
+    # int() would truncate 5.5 to the prime 5
+    for bad in (5.5, 2.9, 7.0, "7"):
+        with pytest.raises(TypeError):
+            Prime(bad)
+    for good in (7, np.int64(7), Prime(7)):
+        assert Prime(good) == 7 and type(Prime(good)) is Prime
 
 
 def test_legendre_examples():

@@ -587,8 +587,23 @@ def test_exclusion_certificate_rejects_empty_box():
 
 
 def test_exclusion_certificate_rejects_dense():
-    with pytest.raises(ValueError):
-        exclusion_certificate(BinaryForm(1, 0, 1), Prime(5))
+    # the dense check comes before the rank check: rank 3 is always dense
+    for f, p in ((BinaryForm(1, 0, 1), 5), (GeneralForm(2, (1, 0, 1)), 5),
+                 (GeneralForm(3, (1, 0, 0, 1, 0, 1)), 3)):
+        with pytest.raises(ValueError, match="^quotients are dense; no "
+                           "exclusion certificate exists$"):
+            exclusion_certificate(f, Prime(p))
+
+
+def test_exclusion_certificate_takes_any_form():
+    # a not-dense form of rank other than 2 is refused with the CLI's text;
+    # a rank-2 general form is certified as its binary form
+    with pytest.raises(ValueError) as info:
+        exclusion_certificate(GeneralForm(1, (1,)), Prime(3))
+    assert str(info.value) == ("exclusion certificates are built for binary "
+                               "forms; this form is not dense but has rank 1")
+    assert exclusion_certificate(GeneralForm(2, (1, 0, 1)), Prime(3)) == \
+        exclusion_certificate(BinaryForm(1, 0, 1), Prime(3))
 
 
 def test_certificate_json():
