@@ -53,14 +53,13 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _add_form_arguments(sp, with_prime=True):
+def _add_form_arguments(sp):
     sp.add_argument("--form",
                     help='binary form "a,b,c" or general form "rank; coeffs"')
     sp.add_argument("--rank", type=int, help="rank when giving bare --coeffs")
     sp.add_argument("--coeffs",
                     help="comma separated coefficients, upper triangle by rows")
-    if with_prime:
-        sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--plain", action="store_true",
                     help="human readable text instead of JSON")
 
@@ -117,23 +116,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _form_from_args(args):
+def _form_and_prime(args):
+    """The form, then the Prime, that _add_form_arguments's options give."""
     if args.form is not None:
         if args.rank is not None or args.coeffs is not None:
             raise UsageError("give either --form or --rank with --coeffs")
-        return parse_form(args.form)
-    if args.coeffs is not None:
+        text = args.form
+    elif args.coeffs is not None:
         if args.rank is None:
             raise UsageError("--coeffs needs --rank")
-        return parse_form(f"{args.rank}; {args.coeffs}")
-    raise UsageError("a form is required: --form or --rank with --coeffs")
+        text = f"{args.rank}; {args.coeffs}"
+    else:
+        raise UsageError("a form is required: --form or --rank with --coeffs")
+    return parse_form(text), Prime(args.prime)
 
 
 def _emit(args, payload, plain) -> None:
     """Print the JSON of payload(), or with --plain the text plain(): only
     the one printed is built. Both print past Python's int-to-text digit cap
     (a witness at a large --r); parsing keeps it."""
-    print(uncapped_text(plain) if getattr(args, "plain", False) else
+    print(uncapped_text(plain) if args.plain else
           uncapped_text(functools.partial(json.dumps, indent=2), payload()))
 
 
@@ -146,8 +148,7 @@ def _emit_record(args, head: dict, key: str, record: dict) -> None:
 
 def _cmd_decide(args) -> int:
     """decide and explain: the same JSON, different plain text."""
-    f = _form_from_args(args)
-    p = Prime(args.prime)
+    f, p = _form_and_prime(args)
     verdict = decide(f, p)
 
     def explain():
@@ -206,8 +207,7 @@ def _coverage_bound(args, p: Prime) -> int:
 
 
 def _cmd_witness(args) -> int:
-    f = _form_from_args(args)
-    p = Prime(args.prime)
+    f, p = _form_and_prime(args)
     budget = _witness_budget(args)
     verdict = decide(f, p)
     if verdict.dense:
@@ -226,8 +226,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    f = _form_from_args(args)
-    p = Prime(args.prime)
+    f, p = _form_and_prime(args)
     report = coverage(f, p, args.r, _coverage_bound(args, p))
     _emit_record(args, {"form": format_form(f), "prime": int(p)}, "report",
                  report.to_json_dict())

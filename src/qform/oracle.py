@@ -310,13 +310,14 @@ def coverage(f, p: int, r: int, bound: int) -> CoverageReport:
 
 
 def _obstruction(verdict: Verdict, p: int):
-    """(r0, test, why) for a not-dense binary leaf, else None.
+    """(r0, least, test, why) for a not-dense binary leaf, else None.
 
     No quotient is congruent mod p**r, for any r >= r0, to a residue z with
-    test(z); why is the reason, as certificates state it.
+    test(z); least is the least z >= 1 with test(z), the centre of a
+    certificate's ball, and why is the reason, as certificates state it.
     """
     tag, fac = verdict.theorem_tag, verdict.factorization
-    parity = 2, lambda z: z % p == 0 and valuation(z, p) % 2 == 1
+    parity = 2, p, lambda z: z % p == 0 and valuation(z, p) % 2 == 1
     if tag == LEAF_ANISOTROPIC:
         return *parity, ("every value has even valuation, so no quotient "
                          "has valuation 1")
@@ -324,16 +325,18 @@ def _obstruction(verdict: Verdict, p: int):
         return *parity, ("stripping p**k leaves a form anisotropic mod p, "
                          "so quotient valuations stay even")
     if tag == LEAF_ODD_K_ODD:
-        return fac.k + 1, lambda z: legendre(z, p) == -1, \
+        # 1 is a residue, so the least nonresidue is at least 2
+        least = next(z for z in range(2, p) if legendre(z, p) == -1)
+        return fac.k + 1, least, lambda z: legendre(z, p) == -1, \
             f"odd k forbids quotients within p**-{fac.k} of any nonresidue unit"
     if tag == LEAF_TWO_K_ODD:
-        return fac.k + 3, lambda z: z % 2 ** (fac.k + 3) == 5, \
+        return fac.k + 3, 5, lambda z: z % 2 ** (fac.k + 3) == 5, \
             f"odd k forbids quotients within 2**-{fac.k + 2} of 5"
     if tag != LEAF_TWO_UNIT_NONSQUARE:
         return None
     if fac.ell % 8 == 5:
         return *parity, "ell = 5 mod 8 keeps every quotient valuation even"
-    return 4, lambda z: z % 16 == 3, \
+    return 4, 3, lambda z: z % 16 == 3, \
         "ell = 3 or 7 mod 8 keeps quotients away from 3 mod 16"
 
 
@@ -349,7 +352,7 @@ def excluded_classes(verdict: Verdict, p: int, r: int) -> frozenset[int]:
     obstruction = _obstruction(verdict, p)
     if obstruction is None or r < obstruction[0]:
         return frozenset()
-    return frozenset(z for z in range(1, m) if obstruction[1](z))
+    return frozenset(z for z in range(1, m) if obstruction[2](z))
 
 
 # a dense form must cover every class mod p**r once r <= COVERAGE_MAX_R and

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 
 import numpy as np
 
@@ -282,15 +281,12 @@ def exclusion_certificate(f, p: int, verify_bound: int = DEFAULT_BUDGET
         raise ValueError("exclusion certificates are built for binary forms; "
                          f"this form is not dense but has rank {f.rank}")
     f = f.to_binary()
-    r0, test, why = _obstruction(verdict, p)
-    # test(p) holds only on the parity leaves, where p is the least target
-    target = p if test(p) else next(z for z in count(1) if test(z))
-    radius = r0 - 1
-    pair = _value_pair(_shell_values(f, 0, verify_bound), p, target, 1, radius + 1)
+    r0, target, _, why = _obstruction(verdict, p)
+    pair = _value_pair(_shell_values(f, 0, verify_bound), p, target, 1, r0)
     if pair is not None:
         raise InternalConsistencyError(
             f"exclusion certificate refuted: form {format_form(f)}, p={p}, "
-            f"target {target}, radius {radius}, bound {verify_bound}: "
+            f"target {target}, radius {r0 - 1}, bound {verify_bound}: "
             f"quotient N/D = {pair[0]}/{pair[1]} enters the ball")
-    return ExclusionCertificate(target, 1, radius,
+    return ExclusionCertificate(target, 1, r0 - 1,
                                 f"{verdict.theorem_tag}: {why}")

@@ -2,7 +2,8 @@
 
 bench/tracer.py wraps every function it lists in TRACED and reads the
 arguments of three of them by parameter name (NOTES). A rename in qform would
-otherwise break `bench/run.py --trace 1` without any test noticing.
+otherwise break `bench/run.py --trace 1` without any test noticing. Likewise
+bench/child.py checks itself and digests reports on every workload run.
 """
 
 import importlib
@@ -10,9 +11,12 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import qform
+import qform.cli  # child.py finds the CLI in sys.modules
 from qform import BinaryForm, Prime
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+CHILD = TRACER.with_name("child.py")
 
 # parameters each NOTES function reads from the traced call
 NOTE_PARAMETERS = {
@@ -22,11 +26,15 @@ NOTE_PARAMETERS = {
 }
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+def load_bench(path):
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_bench(TRACER)
 
 
 def traced_function(name):
@@ -66,3 +74,16 @@ def test_notes_read_real_calls():
     assert points == 11 ** 2 and not missing and sampled > 0
     assert notes["witness.approximate_quotient"] == ("lift", True)
     assert notes["witness.exclusion_certificate"] == 9 ** 2
+
+
+def test_bench_self_test_and_digest(monkeypatch):
+    # child.py runs self_test(qform) and OracleSweep.digest in every workload
+    # run; they replace report.coverage.covered and read .missing, so a change
+    # to CoverageReport that breaks either makes every benchmark run fail
+    monkeypatch.syspath_prepend(str(CHILD.parent))  # for child.py's reference
+    child = load_bench(CHILD)
+    assert child.self_test(qform) == {"injected": 4, "caught": 4,
+                                      "controls": 4, "accepted": 4}
+    report = qform.cross_check(BinaryForm(1, 0, 1), Prime(3), 2, 90)
+    assert child.OracleSweep.digest(report) == \
+        (True, False, "anisotropic", (3, 6), 7)

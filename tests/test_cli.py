@@ -145,7 +145,7 @@ def test_witness_budget_env_below_one(capsys, monkeypatch):
 def test_witness_budget_env_caps_certificate(capsys, monkeypatch):
     # a planted false claim is refuted in the capped box, not the default 50
     monkeypatch.setattr(witness_mod, "_obstruction",
-                        lambda v, p: (2, lambda z: z % 3 == 1, "planted"))
+                        lambda v, p: (2, 1, lambda z: z % 3 == 1, "planted"))
     monkeypatch.setenv("QFORM_MAX_BUDGET", "3")
     code, out, err = run(capsys, "witness", "--form", "1,0,-3", "--prime", "3")
     assert (code, out) == (2, "")

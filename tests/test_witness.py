@@ -116,21 +116,28 @@ def hensel_by_digits(f, p, n, r, x, y):
 def hensel_cases(draw):
     """(f, p, n, r, x, y): f isotropic and nonsingular mod p, (x, y) in
     [0, p)**2 with f(x, y) = n mod p and some partial derivative a unit,
-    often only the partial in y."""
+    often only the partial in y. Built, not filtered: mod p such an f is a
+    product of two independent linear forms, and its gradient, f's matrix
+    times (x, y), vanishes only at the origin."""
     p = draw(st.sampled_from((2, 3, 5, 7, 1009, 10**18 + 3)))
-    a, b, c = (draw(st.integers(-10**20, 10**20)) for _ in range(3))
-    assume(gcd(a, b, c) == 1 and b * b != 4 * a * c)
-    f = BinaryForm(a, b, c)
-    assume(f.discriminant() % p and is_isotropic_mod_p(f, p))
-    x, y = (draw(st.integers(0, p - 1)) for _ in range(2))
+    # f = (al x + be y)(ga x + de y) mod p, with (al, be) != 0 and (ga, de)
+    # off its line: the discriminant is the square of al*de - be*ga, a unit
+    al = draw(st.integers(0, p - 1))
+    be = draw(st.integers(0 if al else 1, p - 1))
+    t, w = draw(st.integers(0, p - 1)), draw(st.integers(1, p - 1))
+    ga, de = (t * al, t * be + w) if al else (w, t * be)
+    a, b, c = (m + p * draw(st.integers(-10**20, 10**20))
+               for m in (al * ga, al * de + be * ga, be * de))
+    # p does not divide the gcd, whose square divides the discriminant
+    g = gcd(a, b, c)
+    f = BinaryForm(a // g, b // g, c // g)
     if draw(st.booleans()):
-        # make the partial in x vanish: 2ax + by = 0 mod p
-        if p == 2:
-            y = 0
-        else:
-            assume(a % p)
-            x = -b * y * pow(2 * a, -1, p) % p
-    assume((2 * a * x + b * y) % p or (b * x + 2 * c * y) % p)
+        # make the partial in x vanish: (x, y) on the line 2ax + by = 0 mod p
+        u = draw(st.integers(1, p - 1))
+        x, y = u * f.b % p, -2 * u * f.a % p
+    else:
+        x = draw(st.integers(0, p - 1))
+        y = draw(st.integers(0 if x else 1, p - 1))
     n = f.evaluate((x, y)) + p * draw(st.integers(-10**30, 10**30))
     return f, p, n, draw(st.integers(1, 60)), x, y
 
@@ -143,6 +150,8 @@ def test_doubling_lift_matches_digit_loop(case):
     # the doubling lift is the unique root congruent to the base mod p, so
     # it must be the point the digit-by-digit loop builds
     f, p, n, r, x, y = case
+    assert f.discriminant() % p and is_isotropic_mod_p(f, p), case
+    assert (2 * f.a * x + f.b * y) % p or (f.b * x + 2 * f.c * y) % p, case
     assert witness_mod._hensel(f, p, n, r, x, y) == \
         hensel_by_digits(f, p, n, r, x, y)
 
@@ -514,6 +523,27 @@ def test_exclusion_certificate_is_an_excluded_class():
                 excluded_classes(v, p, e + 1), (coeffs, p)
 
 
+def test_exclusion_certificate_is_the_least_excluded_class():
+    # the ball is the least class excluded_classes forbids, at the first
+    # precision r0 where it forbids any; the obstruction table names it
+    for coeffs in product(range(-6, 7), repeat=3):
+        if gcd(*coeffs) != 1 or coeffs[1] ** 2 == 4 * coeffs[0] * coeffs[2]:
+            continue
+        f = BinaryForm(*coeffs)
+        for p in map(Prime, (2, 3, 5, 7, 11)):
+            v = decide(f, p)
+            if v.dense:
+                continue
+            r0, least, _, _ = oracle_mod._obstruction(v, p)
+            for r in range(1, r0):
+                assert excluded_classes(v, p, r) == frozenset(), (coeffs, p, r)
+            excluded = excluded_classes(v, p, r0)
+            assert excluded and least == min(excluded), (coeffs, p)
+            cert = exclusion_certificate(f, p, verify_bound=3)
+            assert (cert.target_num, cert.target_den, cert.radius_exponent) \
+                == (least, 1, r0 - 1), (coeffs, p)
+
+
 def test_exclusion_certificate_random():
     count = 0
     while count < 40:
@@ -541,7 +571,7 @@ def test_exclusion_certificate_refuted(monkeypatch):
     # plant a false claim: 1 is a square, so quotients come within 3**-1 of it;
     # the first denominator is 1 and the least numerator 1 mod 9 is -71
     monkeypatch.setattr(witness_mod, "_obstruction",
-                        lambda v, p: (2, lambda z: z % 3 == 1, "planted"))
+                        lambda v, p: (2, 1, lambda z: z % 3 == 1, "planted"))
     with pytest.raises(InternalConsistencyError) as info:
         exclusion_certificate(BinaryForm(1, 0, -3), Prime(3), verify_bound=5)
     message = str(info.value)
@@ -565,7 +595,7 @@ def test_exclusion_certificate_over_many_blocks(monkeypatch):
 
     with monkeypatch.context() as planted:
         planted.setattr(witness_mod, "_obstruction",
-                        lambda v, p: (2, lambda z: z % 3 == 1, "planted"))
+                        lambda v, p: (2, 1, lambda z: z % 3 == 1, "planted"))
         refuted = refutation()
     for ceiling in (1, 37, 1000):
         monkeypatch.setattr(oracle_mod, "_CHUNK_ENTRIES", ceiling)
@@ -574,7 +604,7 @@ def test_exclusion_certificate_over_many_blocks(monkeypatch):
                 for c, p in cases] == want, ceiling
         with monkeypatch.context() as planted:
             planted.setattr(witness_mod, "_obstruction",
-                            lambda v, p: (2, lambda z: z % 3 == 1, "planted"))
+                            lambda v, p: (2, 1, lambda z: z % 3 == 1, "planted"))
             assert refutation() == refuted, ceiling
 
 
