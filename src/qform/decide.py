@@ -10,7 +10,6 @@ they differ; rank 1 is never dense and rank >= 3 always is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
@@ -39,14 +38,13 @@ ALL_TREE_LEAVES = frozenset({
 })
 
 
-@dataclass(frozen=True, slots=True)
-class PathNode:
+class PathNode(NamedTuple):
     node: str
     question: str
     answer: str
 
     def to_json_dict(self) -> dict:
-        return {"node": self.node, "question": self.question, "answer": self.answer}
+        return self._asdict()
 
 
 class Verdict(NamedTuple):

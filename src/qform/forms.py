@@ -259,13 +259,11 @@ def arnold_compose(f: BinaryForm, p1, p2, p3) -> tuple[int, int]:
 
 
 def _compose(f: BinaryForm, m) -> tuple[int, int, int]:
-    """Coefficients of f(m11 x + m12 y, m21 x + m22 y)."""
+    """Coefficients of f(m11 x + m12 y, m21 x + m22 y): f at the columns e1
+    and e2 of m, and between them f(e1 + e2) - f(e1) - f(e2)."""
     (m11, m12), (m21, m22) = m
-    a2 = f.evaluate((m11, m21))
-    c2 = f.evaluate((m12, m22))
-    b2 = (2 * f.a * m11 * m12 + f.b * (m11 * m22 + m12 * m21)
-          + 2 * f.c * m21 * m22)
-    return a2, b2, c2
+    a2, c2 = f.evaluate((m11, m21)), f.evaluate((m12, m22))
+    return a2, f.evaluate((m11 + m12, m21 + m22)) - a2 - c2, c2
 
 
 def change_variables(f: BinaryForm, m) -> BinaryForm:

@@ -83,24 +83,25 @@ def _hensel(f: BinaryForm, p: int, n: int, r: int, x: int,
             y: int) -> tuple[int, int]:
     """Lift f(x, y) = n mod p, at a point where a partial derivative is a
     unit mod p, to the one root mod p**r congruent to it mod p, in [0, p**r).
-    Corrections are multiples of p, so that partial stays the unit: each
-    Newton step moves its coordinate alone and doubles the precision."""
-    # f(x + h, y) = f(x, y) + (2ax + by) h + a h**2, same shape in y
-    move_x = (2 * f.a * x + f.b * y) % p != 0
-    if not move_x and not (f.b * x + 2 * f.c * y) % p:
+    Newton steps move that coordinate alone, by multiples of p, and double the
+    precision of both the point and that partial's inverse, taken once mod p."""
+    point = [x, y]
+
+    def partial(i: int) -> int:
+        # f(point + h e_i) = f(point) + partial(i) h + f.coeffs[2i] h**2
+        return 2 * f.coeffs[2 * i] * point[i] + f.b * point[1 - i]
+    i = 0 if partial(0) % p else 1
+    if not partial(i) % p:
         raise InternalConsistencyError("both partial derivatives vanished mod p")
-    s = 1
+    inv, s = mod_inverse(partial(i), p), 1
     while s < r:
         s = min(2 * s, r)
         ps = p ** s
-        m = f.evaluate((x, y)) - n
-        if move_x:
-            x = (x - m * mod_inverse(2 * f.a * x + f.b * y, ps)) % ps
-        else:
-            y = (y - m * mod_inverse(f.b * x + 2 * f.c * y, ps)) % ps
-    if (f.evaluate((x, y)) - n) % p ** r:
+        point[i] = (point[i] - (f.evaluate(point) - n) * inv) % ps
+        inv = inv * (2 - partial(i) * inv) % ps
+    if (f.evaluate(point) - n) % p ** r:
         raise InternalConsistencyError("lift lost the target residue")
-    return x, y
+    return tuple(point)
 
 
 def lift_representation_two(f: BinaryForm, n: int, r: int) -> tuple[int, int]:

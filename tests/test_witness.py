@@ -15,7 +15,7 @@ from qform import (BinaryForm, BudgetExceededError, GeneralForm,
                    change_variables, decide, excluded_classes,
                    exclusion_certificate, is_isotropic_mod_p, is_prime,
                    lift_representation, lift_representation_two,
-                   quotient_error_valuation, valuation)
+                   mod_inverse, quotient_error_valuation, valuation)
 
 rng = random.Random(0x817)
 
@@ -162,6 +162,24 @@ def test_doubling_lift_is_fast_at_large_r():
     w = approximate_quotient(BinaryForm(1, 0, 1), Prime(5), 3, 7, 5000)
     assert time.perf_counter() - start < 1.0
     assert w.achieved_valuation >= 5000
+
+
+def test_lift_inverts_its_partial_once(monkeypatch):
+    # the partial's inverse is taken mod p and refined with the point, not
+    # recomputed mod p**s at each of the 16 doublings
+    calls = []
+
+    def counted(a, m):
+        calls.append(m)
+        return mod_inverse(a, m)
+
+    monkeypatch.setattr(witness_mod, "mod_inverse", counted)
+    f, p, n, r = BinaryForm(1, 0, -1), 5, 9, 2**16
+    x, y = witness_mod._hensel(f, p, n, r, 2, 0)
+    assert calls == [p]
+    # the one root mod p**r that is 2 mod p and moves x alone
+    assert (y, x % p) == (0, 2) and 0 <= x < p**r
+    assert (f.evaluate((x, y)) - n) % p**r == 0
 
 
 def test_lift_representation_rejects():
