@@ -73,14 +73,15 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Density of quadratic form quotient sets "
                                  "in the p-adic numbers.")
     sub = parser.add_subparsers(dest="command", required=True)
+    cmds = parser.commands = {}
 
     for name, text in (("decide", "dense or not, with both routes"),
                        ("explain", "decision path as question/answer lines")):
-        p_verdict = sub.add_parser(name, help=text)
+        p_verdict = cmds[name] = sub.add_parser(name, help=text)
         _add_form_arguments(p_verdict)
         p_verdict.set_defaults(func=_cmd_decide)
 
-    p_witness = sub.add_parser(
+    p_witness = cmds["witness"] = sub.add_parser(
         "witness",
         help="point pair approximating --target, or an exclusion certificate")
     _add_form_arguments(p_witness)
@@ -93,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
              f"{DEFAULT_BUDGET}, capped by {MAX_BUDGET_ENV}")
     p_witness.set_defaults(func=_cmd_witness)
 
-    p_oracle = sub.add_parser("oracle",
-                              help="brute force residue coverage report")
+    p_oracle = cmds["oracle"] = sub.add_parser(
+        "oracle", help="brute force residue coverage report")
     _add_form_arguments(p_oracle)
     p_oracle.add_argument("--r", type=int, default=1)
     p_oracle.add_argument("--bound", type=int,
@@ -102,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                                f"{COVERAGE_BOUND_FACTOR} * p**r")
     p_oracle.set_defaults(func=_cmd_oracle)
 
-    p_sweep = sub.add_parser(
+    p_sweep = cmds["sweep"] = sub.add_parser(
         "sweep", help="cross-check decider against oracle over a config file")
     p_sweep.add_argument("--config", required=True,
                          help='file of lines "a,b,c p" or "rank; coeffs p"')
@@ -114,6 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), in one pass when argv names a command
+    first: parser.commands maps it to its parser, which reads the rest."""
+    sub = build_parser().commands.get(argv[0]) if argv else None
+    return (sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if sub else build_parser().parse_args(argv))
 
 
 def _form_and_prime(args):
@@ -283,7 +292,7 @@ def _cmd_sweep(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(_attach_signed_values(
+        args = _parse(_attach_signed_values(
             sys.argv[1:] if argv is None else list(argv)))
         # argparse drops the value "--" of "--name=--" and stores a list
         for name, value in vars(args).items():

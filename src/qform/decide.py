@@ -107,18 +107,19 @@ def decide_binary_tree(f: BinaryForm, p: int) -> Verdict:
     """
     fact = factor_discriminant(f, p)
     if not is_isotropic_mod_p(f, p):
-        return Verdict(False, LEAF_ANISOTROPIC, fact)
-    if not fact.k:
-        return Verdict(True, LEAF_NONSINGULAR, fact)
-    if fact.k % 2:
-        return Verdict(False, LEAF_ODD_K_ODD if p != 2 else LEAF_TWO_K_ODD, fact)
-    if p != 2:
-        res = legendre(fact.ell, p) == 1
-        return Verdict(res, LEAF_ODD_RESIDUE if res else LEAF_ODD_NONRESIDUE,
-                       fact)
-    one = fact.ell % 8 == 1
-    return Verdict(one, LEAF_TWO_UNIT_SQUARE if one else LEAF_TWO_UNIT_NONSQUARE,
-                   fact)
+        dense, tag = False, LEAF_ANISOTROPIC
+    elif not fact.k:
+        dense, tag = True, LEAF_NONSINGULAR
+    elif fact.k % 2:
+        dense, tag = False, LEAF_ODD_K_ODD if p != 2 else LEAF_TWO_K_ODD
+    elif p != 2:
+        dense = legendre(fact.ell, p) == 1
+        tag = LEAF_ODD_RESIDUE if dense else LEAF_ODD_NONRESIDUE
+    else:
+        dense = fact.ell % 8 == 1
+        tag = LEAF_TWO_UNIT_SQUARE if dense else LEAF_TWO_UNIT_NONSQUARE
+    # tuple.__new__ skips the named tuple's costly generated __new__
+    return tuple.__new__(Verdict, (dense, tag, fact, 2))
 
 
 def decide_binary_squareclass(f: BinaryForm, p: int) -> Verdict:

@@ -155,7 +155,8 @@ def factor_discriminant(f: BinaryForm, p: int) -> DiscFactorization:
     if p ** k * ell != d or ell % p == 0:
         raise InternalConsistencyError(
             f"bad factorization {p}**{k} * {ell} != {d}")
-    return DiscFactorization(p, k, ell, d)
+    # tuple.__new__ skips the named tuple's costly generated __new__
+    return tuple.__new__(DiscFactorization, (p, k, ell, d))
 
 
 def is_isotropic_mod_p(f: BinaryForm, p: int) -> bool:

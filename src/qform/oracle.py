@@ -10,7 +10,8 @@ cross_check compares what a verdict promises against what enumeration finds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
+from math import gcd
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .decide import (LEAF_ANISOTROPIC, LEAF_ODD_K_ODD, LEAF_ODD_NONRESIDUE,
                      LEAF_TWO_K_ODD, LEAF_TWO_UNIT_NONSQUARE, TAG_RANK_ONE,
                      Verdict, decide)
 from .forms import format_form
-from .padic import legendre, mod_inverse, valuation
+from .padic import legendre, valuation
 
 # beyond this, box values may not fit int64 and enumeration uses object arrays
 _INT64_SAFE = 2 ** 62
@@ -120,6 +121,9 @@ def _shell_batches(f, lo: int, hi: int):
     # rank 1 is the one row u = 0 of a form in (u, v)
     aa, bb, cc = f.coeffs[-3:] if f.rank > 1 else (0, 0, f.coeffs[0])
     quads, kept = {}, 0
+    # per prefix: its coefficient rows for u and v, its nonzero cross terms
+    lin = [[f.coeff(i, j) for i in range(n)] for j in (n, n + 1)]
+    cross = [(i, j, c) for i in range(n) for j in range(i, n) if (c := f.coeff(i, j))]
     for prefix in product(range(-hi, hi + 1), repeat=n):
         zero = not any(prefix)
         if f.rank == 1:
@@ -131,10 +135,8 @@ def _shell_batches(f, lo: int, hi: int):
             runs = [(-hi, side, t * w), (-lo, strips, 2 * t * lo + t if zero
                                          else 2 * t * (2 * lo + 1))]
             runs += [] if zero else [(lo + 1, side, t * w)]
-        lin_u, lin_v = (sum(f.coeff(i, j) * prefix[i] for i in range(n))
-                        for j in (n, n + 1))
-        const = sum(f.coeff(i, j) * prefix[i] * prefix[j]
-                    for i in range(n) for j in range(i, n))
+        lin_u, lin_v = (sum(c * x for c, x in zip(row, prefix)) for row in lin)
+        const = sum(c * prefix[i] * prefix[j] for i, j, c in cross)
         for block in _blocks(runs):
             parts = []
             for u0, cols, size in block:
@@ -204,19 +206,18 @@ def _value_pair(values, p: int, tn: int, td: int, r: int):
     """First value pair (N, D) whose quotient is within p**-r of tn/td, or None.
 
     Denominators go by (|D|, D), and each takes the least numerator N with
-    N*td = tn*D mod p**(r + v(D) + v(td)). Dividing out p**v(td) leaves one
-    congruence mod p**(r + s) per valuation class s of denominators. Its
-    numerators all have valuation t = v(tn) + s - v(td) when t < r + s, else
-    they are 0 and the values of valuation >= r + s, so each class sorts
-    only that bucket of the sorted distinct values.
+    N*td = tn*D mod p**(r + v(D) + v(td)). If shift = v(tn) - v(td) >= r,
+    N is 0 or of valuation >= r + v(D). Else v(N) = v(D) + shift and, x'
+    being the unit part of x, N'*td' = tn'*D' mod p**(r - shift): one
+    modulus for every class, so one table keyed by (class, residue).
     """
     nums = _distinct(values)
-    if nums.dtype != object and p > np.iinfo(nums.dtype).max:
-        # NumPy 2 refuses a Python int outside the array's dtype
+    if nums.dtype != object:
+        # int64 keeps 2|D| exact; NumPy 2 refuses a p past the dtype
         nums = nums.astype(np.int64 if p < _INT64_SAFE else object)
-    # valuations by a shrinking peel; 0 joins every bucket of valuation >= r + s
+    # valuations and unit parts by a shrinking peel; 0 joins every class
     zero = nums == 0
-    vals = np.where(zero, _INT64_SAFE, 0)
+    vals, units = np.where(zero, _INT64_SAFE, 0), nums.copy()
     idx = np.flatnonzero(~zero)
     cur = nums[idx]
     while cur.size:
@@ -224,33 +225,49 @@ def _value_pair(values, p: int, tn: int, td: int, r: int):
         hit = q * p == cur
         idx, cur = idx[hit], q[hit]
         vals[idx] += 1
+        units[idx] = cur
     g = int(valuation(td, p))
     shift = valuation(tn, p) - g
-    found = []
-    for s in np.flatnonzero(np.bincount(vals[~zero])).tolist():
-        if tn and s < g:
-            continue
-        m = p ** (r + s)
-        bucket = nums[vals == s + shift] if shift < r else nums[vals >= r + s]
-        if not bucket.size:
-            continue
-        # products of two residues stay below m**2, inside int64 for m < 2**31
-        dtype = object if nums.dtype == object or m >= _INT32_SAFE else np.int64
-        cls = nums[vals == s].astype(dtype)
-        inv = mod_inverse(td // p ** g, m)
-        want = (tn % m) * (cls // p ** g % m) % m * inv % m
-        residues, first = np.unique(bucket.astype(dtype) % m, return_index=True)
-        pos = np.minimum(np.searchsorted(residues, want), residues.size - 1)
-        hits = np.flatnonzero(residues[pos] == want)
-        if hits.size:
-            # 2|D| + (D > 0) orders denominators by (|D|, D)
-            j = hits[np.argmin(2 * np.abs(cls[hits]) + (cls[hits] > 0))]
-            d = int(cls[j])
-            found.append((abs(d), d, int(bucket[first[pos[j]]])))
-    if not found:
+    if shift >= r:
+        dens = np.flatnonzero(vals <= vals.max(initial=0) - r)
+    else:
+        num = np.flatnonzero(~zero & (vals >= g + shift))
+        # only denominators of a class that holds a numerator
+        have = np.bincount(vals[num] - shift) > 0
+        dens = np.flatnonzero(vals < have.size)
+        dens = dens[have[vals[dens]]]
+    if dens.size and shift < r:
+        m, a, b = p ** (r - shift), td // p ** g, tn // p ** (g + shift)
+        reach = int(max(units.max(), -units.min()))
+        if (bound := reach * (abs(a) + abs(b))) < m:
+            # |N'*a - D'*b| <= bound < m: an equation, which larger moduli test
+            m = next(k for k in count(bound + 1) if gcd(k, a) == 1)
+        # keys of N' + reach and D'*b/a + reach mod m; none past 2*reach match
+        top = min(2 * reach + 1, m - 1)
+        dtype = np.int64 if reach * (m + 1) < _INT64_SAFE else object
+        keys = []
+        for sel, c, f in ((num, shift, 1), (dens, 0, b * pow(a, -1, m) % m)):
+            x = units[sel].astype(dtype) * f + reach
+            x = np.minimum(x - x // m * m, top)
+            keys.append((vals[sel] - c).astype(dtype) * (top + 1) + x)
+        nkey, dkey = keys
+        if (span := have.size * (top + 1)) <= max(2 ** 16, 4 * nums.size):
+            table = np.zeros(span, bool)
+            table[nkey.astype(np.intp, copy=False)] = True
+            hit = table[dkey.astype(np.intp, copy=False)]
+        else:
+            ordered = np.sort(nkey)
+            pos = np.searchsorted(ordered, dkey)
+            hit = ordered[np.minimum(pos, ordered.size - 1)] == dkey
+        dens, dkey = dens[hit], dkey[hit]
+    if not dens.size:
         return None
-    _, d, n = min(found)
-    return n, d
+    # 2|D| + (D > 0) orders by (|D|, D); sorted nums put the least N first
+    cand = nums[dens]
+    j = int(np.argmin(2 * np.abs(cand) + (cand > 0)))
+    first = (np.flatnonzero(vals >= r + vals[dens[j]])[0] if shift >= r
+             else num[np.argmax(nkey == dkey[j])])
+    return int(nums[first]), int(cand[j])
 
 
 @dataclass(frozen=True, slots=True)

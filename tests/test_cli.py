@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import qform.witness as witness_mod
 from qform import valuation
-from qform.cli import build_parser, main
+from qform.cli import (UsageError, _attach_signed_values, _parse, build_parser,
+                       main)
 
 
 def run(capsys, *argv):
@@ -563,3 +564,32 @@ def test_fuzzed_argv_exits_cleanly(command, request, noise, noise_first):
             assert exc.code == 0 and "--help" in argv, argv
             return
     assert code in (0, 1, 2), argv
+
+
+def parse_outcome(parse, argv):
+    """What parse(argv) gives: the namespace, a usage error or an exit."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            return "parsed", vars(parse(argv))
+        except UsageError as exc:
+            return "usage", str(exc)
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(["decide", "explain", "witness", "oracle",
+                                  "sweep", "-h", "--help", "bogus", "--form"]
+                                 ).map(lambda c: [c]), st.just([])),
+       st.one_of(_request, st.just([])),
+       st.one_of(st.just([]), st.lists(_noise, max_size=4)), st.booleans())
+def test_dispatch_parses_as_the_top_level_parser(command, request, noise,
+                                                 noise_first):
+    # a command first goes straight to its own parser; every other argv
+    # (no command, an unknown one, -h first) to the top level, as before
+    chunks = noise + request if noise_first else request + noise
+    argv = _attach_signed_values(
+        command + [token for chunk in chunks for token in chunk])
+    assert parse_outcome(_parse, argv) == \
+        parse_outcome(build_parser().parse_args, argv), argv

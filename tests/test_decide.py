@@ -16,13 +16,14 @@ from qform import (ALL_TREE_LEAVES, LEAF_ANISOTROPIC, LEAF_NONSINGULAR,
                    LEAF_TWO_K_ODD, LEAF_TWO_UNIT_NONSQUARE,
                    LEAF_TWO_UNIT_SQUARE, TAG_RANK_HIGH, TAG_RANK_ONE,
                    TAG_SQUARE_CLASS, BinaryForm, GeneralForm,
-                   InternalConsistencyError, InvalidFormError, Prime,
+                   InternalConsistencyError, InvalidFormError, Prime, Verdict,
                    approximate_quotient, change_variables, coverage,
                    cross_check, decide, decide_binary_squareclass,
                    decide_binary_tree, exclusion_certificate,
                    factor_discriminant, format_form, is_isotropic_mod_p,
                    is_square_in_qp, legendre)
 from qform.cli import main
+from qform.forms import DiscFactorization
 from qform.padic import uncapped_text
 
 # the package re-exports the function decide, which hides the module attribute
@@ -202,6 +203,27 @@ def test_verdict_records_keep_their_contract():
         assert repr(v) == (f"Verdict(dense={dense}, theorem_tag={tag!r}, "
                            f"factorization=None, rank={g.rank})")
         assert hash(v) == hash(decide(g, 5))
+
+
+def test_tree_records_match_their_constructors():
+    # the tree and factor_discriminant build their records with
+    # tuple.__new__: each must be the record its constructor builds
+    tags = set()
+    for coeffs in product(range(-4, 5), repeat=3):
+        try:
+            f = BinaryForm(*coeffs)
+        except InvalidFormError:
+            continue
+        for p in (2, 3, 5, 7):
+            fact, v = factor_discriminant(f, p), decide_binary_tree(f, p)
+            for got, want, field in (
+                    (fact, DiscFactorization(*fact), "p"),
+                    (v, Verdict(v.dense, v.theorem_tag, fact), "rank")):
+                assert type(got) is type(want) and got == want
+                assert repr(got) == repr(want)
+                assert got._replace(**{field: 0}) == want._replace(**{field: 0})
+            tags.add(v.theorem_tag)
+    assert tags == ALL_TREE_LEAVES
 
 
 def test_decide_reads_a_prime_as_a_plain_int(monkeypatch):

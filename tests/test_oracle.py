@@ -430,3 +430,47 @@ def value_pair_cases(draw):
 @given(value_pair_cases())
 def test_value_pair_matches_reference(case):
     assert _value_pair(*case) == value_pair_reference(*case)
+
+
+# the value-pair search on real shells: boxes small enough for the quadratic
+# reference, coefficients that keep the (class, residue) keys in a bool table
+# (|c| <= 9), push them past it to the sorted keys (|c| near 10**6 at the
+# larger primes), or make the values Python ints in object arrays (2**61)
+_SHELL_PRIMES = (2, 3, 5, 7, 353, 1009, 10007, 2 ** 31 - 1, 10 ** 18 + 3)
+_SHELL_BOXES = {1: 12, 2: 8, 3: 4, 4: 2}
+
+
+@st.composite
+def shell_value_pair_cases(draw):
+    p = draw(st.sampled_from(_SHELL_PRIMES))
+    rank = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from((9, 10 ** 6, 2 ** 61)))
+    coeffs = draw(st.lists(st.one_of(st.integers(-9, 9),
+                                     st.integers(-scale, scale)),
+                           min_size=rank * (rank + 1) // 2,
+                           max_size=rank * (rank + 1) // 2))
+    try:
+        f = GeneralForm(rank, tuple(coeffs))
+    except ValueError:
+        f = GeneralForm(rank, tuple(int(i == j) for i in range(rank)
+                                    for j in range(i, rank)))
+    r = draw(st.integers(1, 4))
+    unit = draw(st.integers(-10 ** 4, 10 ** 4).filter(lambda u: u % p))
+    kind = draw(st.sampled_from(("zero", "deep", "p-den", "any")))
+    if kind == "zero":
+        tn, td = 0, draw(st.integers(1, 60))
+    elif kind == "deep":  # v(tn) >= r: no residue condition
+        tn, td = unit * p ** (r + draw(st.integers(0, 2))), 1
+    elif kind == "p-den":
+        tn, td = unit, draw(st.integers(1, 60)) * p
+    else:
+        tn, td = draw(st.integers(-10 ** 4, 10 ** 4)), draw(st.integers(1, 60))
+    g = gcd(tn, td) if tn else 1
+    box = draw(st.integers(1, _SHELL_BOXES[rank]))
+    return (oracle_mod._shell_values(f, 0, box), p, tn // g, td // g, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shell_value_pair_cases())
+def test_value_pair_matches_reference_on_shells(case):
+    assert _value_pair(*case) == value_pair_reference(*case)
