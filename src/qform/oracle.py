@@ -10,7 +10,7 @@ cross_check compares what a verdict promises against what enumeration finds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import count, groupby, islice, product
 from math import gcd
 
 import numpy as np
@@ -104,12 +104,13 @@ def _shell_batches(f, lo: int, hi: int):
     is negative, and the origin when lo = 0. f(-x) = f(x), and product order
     reaches x before -x exactly when x is in this half, so every value's first
     point, and the values seen after each prefix (all but the last two
-    coordinates), are the whole shell's. A block never spans two prefixes;
-    where is (prefix, runs), run (u0, cols, n) being n entries over rows u0,
-    u0 + 1, ... of columns cols in C order, and rows inside the inner box
-    take only its two outer strips. Past rank 2 each run's quadratic part is
-    kept for the shell while those kept fit _CHUNK_ENTRIES. Values past int64
-    are ints in object arrays.
+    coordinates), are the whole shell's. where is (prefixes, runs), run
+    (u0, cols, n) being n entries over rows u0, u0 + 1, ... of columns cols
+    in C order; rows inside the inner box take only its two outer strips. A
+    block is as many consecutive prefixes of one layout (the zero one alone)
+    as fit, each over all the runs, or else one prefix's rows or row slices.
+    Past rank 2 each run's quadratic part is kept for the shell while those
+    kept fit _CHUNK_ENTRIES. Values past int64 are ints in object arrays.
     """
     # bounds |Q(x)| over the box, and each monomial term's share of it too
     peak = sum(abs(c) for c in f.coeffs) * hi * hi
@@ -121,39 +122,48 @@ def _shell_batches(f, lo: int, hi: int):
     # rank 1 is the one row u = 0 of a form in (u, v)
     aa, bb, cc = f.coeffs[-3:] if f.rank > 1 else (0, 0, f.coeffs[0])
     quads, kept = {}, 0
-    # per prefix: its coefficient rows for u and v, its nonzero cross terms
-    lin = [[f.coeff(i, j) for i in range(n)] for j in (n, n + 1)]
-    cross = [(i, j, c) for i in range(n) for j in range(i, n) if (c := f.coeff(i, j))]
-    for prefix in product(range(-hi, hi + 1), repeat=n):
-        zero = not any(prefix)
+    # per prefix coordinate: its cross terms, then its terms with u and v
+    coef = np.array([[f.coeff(i, j) * (i <= j) for j in range(n + 2)]
+                     for i in range(n)], dtype)
+    # the prefixes up to the zero one, by layout: 2 zero, 1 outer, 0 inner
+    half = islice(product(range(-hi, hi + 1), repeat=n), w ** n // 2 + 1)
+    for layout, group in groupby(half, lambda x: 2 if not any(x) else
+                                 not lo or max(map(abs, x)) > lo):
+        zero, group = layout == 2, list(group)
         if f.rank == 1:
             runs = [(0, side[:t + (lo == 0)], t + (lo == 0))]
-        elif not lo or max(map(abs, prefix), default=0) > lo:
+        elif not lo or layout == 1:
             runs = [(-hi, side, hi * w + hi + 1 if zero else w * w)]
         else:
             # the zero prefix stops on row 0 before column -lo
             runs = [(-hi, side, t * w), (-lo, strips, 2 * t * lo + t if zero
                                          else 2 * t * (2 * lo + 1))]
             runs += [] if zero else [(lo + 1, side, t * w)]
-        lin_u, lin_v = (sum(c * x for c, x in zip(row, prefix)) for row in lin)
-        const = sum(c * prefix[i] * prefix[j] for i, j, c in cross)
-        for block in _blocks(runs):
-            parts = []
-            for u0, cols, size in block:
-                rows = side[u0 + hi:u0 + hi - (-size // len(cols)), None]
-                key = u0, int(cols[0]), len(cols), size
-                if (quad := quads.get(key)) is None:
-                    quad = rows * (bb * cols)
-                    quad += rows * (aa * rows)
-                    quad += cols * (cc * cols)
-                    if n and kept + quad.size <= _CHUNK_ENTRIES:
-                        quads[key], kept = quad, kept + quad.size
-                vals = quad if zero else \
-                    quad + (rows * lin_u + (cols * lin_v + const))
-                parts.append(vals.ravel()[:size])
-            yield (prefix, block), np.concatenate(parts) if parts[1:] else parts[0]
-        if zero:
-            return
+        step = max(_CHUNK_ENTRIES // sum(size for *_, size in runs), 1)
+        for a in range(0, len(group), step):
+            prefixes = tuple(group[a:a + step])
+            if not zero:
+                pre = np.array(prefixes, dtype)
+                lin_u, lin_v = (pre @ coef[:, n:]).T[:, :, None, None]
+                const = ((pre @ coef[:, :n]) * pre).sum(1, dtype)[:, None, None]
+            for block in _blocks(runs):
+                parts = []
+                for u0, cols, size in block:
+                    rows = side[u0 + hi:u0 + hi - (-size // len(cols)), None]
+                    key = u0, int(cols[0]), len(cols), size
+                    if (quad := quads.get(key)) is None:
+                        quad = rows * (bb * cols)
+                        quad += rows * (aa * rows)
+                        quad += cols * (cc * cols)
+                        if n and kept + quad.size <= _CHUNK_ENTRIES:
+                            quads[key], kept = quad, kept + quad.size
+                    vals = quad
+                    if not zero:
+                        vals = rows * lin_u + (cols * lin_v + const)
+                        vals += quad
+                    parts.append(vals.reshape(len(prefixes), -1)[:, :size])
+                vals = np.concatenate(parts, axis=1) if parts[1:] else parts[0]
+                yield (prefixes, block), vals.ravel()
 
 
 def _blocks(runs):
@@ -170,10 +180,13 @@ def _blocks(runs):
 
 
 def _point_at(f, where, i: int) -> tuple[int, ...]:
-    """The lattice point behind entry i of a block; rank 1 has no row u."""
-    for u0, cols, n in where[1]:
+    """The lattice point behind entry i of a block, which lists each prefix's
+    runs in turn; rank 1 has no row u."""
+    prefixes, runs = where
+    j, i = divmod(i, sum(n for _, _, n in runs))
+    for u0, cols, n in runs:
         if i < n:
-            return where[0] + (u0 + i // len(cols),)[:f.rank - 1] + \
+            return prefixes[j] + (u0 + i // len(cols),)[:f.rank - 1] + \
                 (int(cols[i % len(cols)]),)
         i -= n
 
@@ -312,12 +325,14 @@ def coverage(f, p: int, r: int, bound: int) -> CoverageReport:
     tracker = _ResidueTracker(p, r)
     last = None
     for lo, hi in _expanding_bounds(bound):
-        for (prefix, _), batch in _shell_batches(f, lo, hi):
+        rows = ((prefix, row) for (prefixes, _), batch in _shell_batches(f, lo, hi)
+                for prefix, row in zip(prefixes, batch.reshape(len(prefixes), -1)))
+        for prefix, row in rows:
             # stop only between prefixes: at rank <= 2, between shells
             if prefix != last and tracker.full:
                 break
             last = prefix
-            tracker.add_batch(batch)
+            tracker.add_batch(row)
         if tracker.full:
             break
     covered = tracker.covered.nonzero()[0].tolist()

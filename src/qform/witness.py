@@ -252,8 +252,8 @@ def _enumeration_witness(f, p: int, tn: int, td: int, r: int,
         raise ValueError("budget must be at least 1")
     values = np.zeros(0, dtype=np.int64)
     for lo, hi in _expanding_bounds(limit):
-        shell = _distinct(_shell_values(f, lo, hi))  # own dtype: a faster sort
-        values = _distinct(np.concatenate([values, shell]))
+        # each shell sorted in its own dtype, a faster sort; _value_pair sorts all
+        values = np.concatenate([values, _distinct(_shell_values(f, lo, hi))])
         pair = _value_pair(values, p, tn, td, r)
         if pair is not None:
             # _expanding_bounds(hi) yields the shells searched so far

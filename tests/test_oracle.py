@@ -131,6 +131,71 @@ def test_half_shell_and_its_negation_are_the_shell():
             assert len(half) == (len(whole) + (lo == 0)) // 2, (f, lo, hi)
 
 
+def test_prefixes_of_one_layout_share_a_block():
+    # consecutive prefixes of one layout are one block, as far as the
+    # ceiling allows: the rank-4 shells took 41 and 145 blocks, one a prefix
+    f = SHELL_FORMS[3]
+    for (lo, hi), most in (((2, 4), 7), ((4, 8), 11)):
+        sizes = [len(vals) for _, vals in _shell_batches(f, lo, hi)]
+        assert len(sizes) <= most, (lo, hi, len(sizes))
+        assert max(sizes) <= oracle_mod._CHUNK_ENTRIES
+
+
+@st.composite
+def layout_cases(draw):
+    rank = draw(st.integers(3, 5))
+    # coefficients near 2**62 put the values past int64, in object arrays
+    big = draw(st.booleans())
+    coeff = st.integers(-9, 9)
+    if big:
+        coeff = st.one_of(coeff, st.integers(2 ** 62, 2 ** 62 + 9))
+    coeffs = draw(st.lists(coeff, min_size=rank * (rank + 1) // 2,
+                           max_size=rank * (rank + 1) // 2))
+    try:
+        f = GeneralForm(rank, tuple(coeffs))
+    except ValueError:
+        f = GeneralForm(rank, tuple(int(i == j) for i in range(rank)
+                                    for j in range(i, rank)))
+    # rank 5 stays at hi <= 2, which keeps one entry a block quick
+    shells = ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))
+    lo, hi = draw(st.sampled_from(shells[:3] if rank == 5 else shells))
+    return f, lo, hi, draw(st.sampled_from((2, 3))), draw(st.integers(1, 2))
+
+
+@settings(max_examples=20, deadline=None)
+@given(layout_cases())
+@example((GeneralForm(5, (1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0, 1)),
+          1, 2, 2, 2))
+@example((GeneralForm(3, (2 ** 62 + 3, 1, 0, 5, 0, 7)), 2, 3, 3, 1))
+def test_layout_blocks_follow_product_order(case):
+    # blocks of many prefixes, of one, and slices of rows give the brute
+    # force's points and values, and the same coverage
+    f, lo, hi, p, r = case
+    want = half_shell_points(f, lo, hi)
+    values = [f.evaluate(pt) for pt in want]
+    reports = set()
+    with pytest.MonkeyPatch.context() as patch:
+        for ceiling in (None, 1, 37):
+            if ceiling:
+                patch.setattr(oracle_mod, "_CHUNK_ENTRIES", ceiling)
+            batches = list(_shell_batches(f, lo, hi))
+            assert [_point_at(f, where, i) for where, vals in batches
+                    for i in range(len(vals))] == want, (f, lo, hi, ceiling)
+            assert [v for _, vals in batches for v in vals.tolist()] == values
+            if max(f.coeffs) > 2 ** 61:
+                assert {vals.dtype for _, vals in batches} == {np.dtype(object)}
+            reports.add(coverage(f, Prime(p), r, hi))
+            if f.rank == 5 and lo and ceiling is None:
+                # inner and outer layouts alternate inside one leading
+                # coordinate; the inner frame is three runs, the outer one
+                layouts = {}
+                for (prefixes, runs), _ in batches:
+                    for prefix in prefixes:
+                        layouts.setdefault(prefix[0], set()).add(len(runs))
+                assert {1, 3} in layouts.values(), layouts
+    assert len(reports) == 1, reports
+
+
 def test_binary_box_is_one_batch():
     # a binary half box under the ceiling is one block: coverage then
     # handles every small shell with one add_batch
