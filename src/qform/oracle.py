@@ -24,11 +24,11 @@ from .padic import legendre, valuation
 # beyond this, box values may not fit int64 and enumeration uses object arrays
 _INT64_SAFE = 2 ** 62
 _INT32_SAFE = 2 ** 31
-# coverage keeps masks of p**r bools (7**4 at bound 24010: a 68 MB peak RSS),
-# but its report lists Python ints, which dominate a 2.5 GB peak at 2**24
+# coverage keeps masks of p**r bools (7**4 at bound 24010: a 35 MB peak RSS),
+# but its report lists Python ints, which dominate a 2.3 GB peak at 2**24
 _MAX_MODULUS = 2 ** 24
-# entries in one enumeration block, one pairing product and one witness fold
-_CHUNK_ENTRIES = 2 ** 20
+# entries per block, pairing product and fold: add_batch's ~13 passes stay in L2
+_CHUNK_ENTRIES = 2 ** 17
 
 
 class _ResidueTracker:
@@ -195,9 +195,11 @@ def _distinct(values) -> np.ndarray:
     """The sorted distinct entries of values, flattened, like np.unique.
 
     A sort and a neighbour mask: numpy's np.unique takes a hash path on
-    integer arrays that is many times slower than this.
+    integer arrays that is many times slower than this. Object arrays sort
+    as a list: sorted() compares ints on a fast path that np.sort lacks.
     """
-    flat = np.sort(values, axis=None)
+    flat = (np.array(sorted(values.ravel().tolist()), dtype=object)
+            if values.dtype == object else np.sort(values, axis=None))
     if not flat.size:
         return flat
     return flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
@@ -269,7 +271,7 @@ def _value_pair(values, p: int, tn: int, td: int, r: int):
             table[nkey.astype(np.intp, copy=False)] = True
             hit = table[dkey.astype(np.intp, copy=False)]
         else:
-            ordered = np.sort(nkey)
+            ordered = _distinct(nkey)
             pos = np.searchsorted(ordered, dkey)
             hit = ordered[np.minimum(pos, ordered.size - 1)] == dkey
         dens, dkey = dens[hit], dkey[hit]

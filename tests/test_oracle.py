@@ -12,7 +12,8 @@ import qform.oracle as oracle_mod
 from qform import (BinaryForm, GeneralForm, Prime, coverage, cross_check,
                    decide, excluded_classes, valuation)
 from qform.oracle import (_ResidueTracker, _distinct, _expanding_bounds,
-                          _point_at, _shell_batches, _value_pair)
+                          _point_at, _shell_batches, _shell_values,
+                          _value_pair)
 
 rng = random.Random(0x0c1e)
 
@@ -228,8 +229,23 @@ def test_chunking_changes_no_report(monkeypatch):
         assert reports() == want, ceiling
 
 
+def test_real_ceilings_change_no_result(monkeypatch):
+    # the shells 512-1024 and 1024-1210 of this box hold 1.57M and 0.83M
+    # values, so _blocks slices rows; the rank-3 shell's 378k values are
+    # folded at 2**17 but not at 2**20
+    f = GeneralForm(3, (1, 0, 0, 1, 0, 3))
+    results = []
+    for ceiling in (2 ** 17, 2 ** 20):
+        monkeypatch.setattr(oracle_mod, "_CHUNK_ENTRIES", ceiling)
+        results.append((coverage(BinaryForm(6, 1, 5), Prime(11), 2, 1210),
+                        _distinct(_shell_values(f, 32, 50)).tolist()))
+    assert results[0] == results[1]
+    assert len(results[0][1]) == 7985
+
+
 def test_coverage_memory_is_bounded():
-    # a box of 18 million points; the whole box in one batch took 305 MB
+    # a box of 18 million points; the whole box in one batch took 305 MB,
+    # blocks of 2**20 entries 17.0 MB and blocks of 2**17 2.2 MB
     tracemalloc.start()
     try:
         rep = coverage(BinaryForm(1, 0, 1), Prime(7), 2, 3000)
@@ -237,7 +253,7 @@ def test_coverage_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert rep.missing == (7, 14, 21, 28, 35, 42)
-    assert peak < 64 * 2 ** 20, peak
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_coverage_examples():
