@@ -5,6 +5,7 @@ Independent of the deciders: it enumerates lattice points, pairs the values
 p-adic integer), strips the denominator's p-power from both, and multiplies by
 the inverse of the denominator's unit part to get the quotient's residue.
 cross_check compares what a verdict promises against what enumeration finds.
+_search_pair, the value-pair search of witnesses and certificates, lives here.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .decide import (LEAF_ANISOTROPIC, LEAF_ODD_K_ODD, LEAF_ODD_NONRESIDUE,
                      LEAF_TWO_K_ODD, LEAF_TWO_UNIT_NONSQUARE, TAG_RANK_ONE,
                      Verdict, decide)
+from .errors import InternalConsistencyError
 from .forms import format_form
 from .padic import legendre, valuation
 
@@ -206,27 +208,52 @@ def _distinct(values) -> np.ndarray:
 
 
 def _shell_values(f, lo: int, hi: int) -> np.ndarray:
-    """Every value of the half shell, each at least once: the blocks are
-    folded through _distinct whenever _CHUNK_ENTRIES new entries wait."""
+    """The sorted distinct values of the half shell: the blocks are folded
+    through _distinct whenever _CHUNK_ENTRIES new entries wait."""
     pending, size = [], 0
     for _, batch in _shell_batches(f, lo, hi):
         pending.append(batch)
         size += batch.size
         if size >= _CHUNK_ENTRIES:
             pending, size = [_distinct(np.concatenate(pending))], 0
-    return np.concatenate(pending) if pending[1:] else pending[0]
+    return _distinct(np.concatenate(pending) if pending[1:] else pending[0])
 
 
-def _value_pair(values, p: int, tn: int, td: int, r: int):
+def _search_pair(f, p: int, tn: int, td: int, r: int, shells):
+    """((N, D), (num_point, den_point)): _value_pair's pair, asked after each
+    (lo, hi) half shell on the values so far, with each value's first point
+    in product order from a second walk of those shells; or None."""
+    walked = []
+    for lo, hi in shells:
+        new = _shell_values(f, lo, hi)
+        values = _distinct(np.concatenate((values, new))) if walked else new
+        walked.append((lo, hi))
+        if (pair := _value_pair(values, p, tn, td, r)) is not None:
+            break
+    else:
+        return None
+    first, want = {}, set(pair)
+    for lo, hi in walked:
+        for where, vals in _shell_batches(f, lo, hi):
+            for value in want - first.keys():
+                if (hits := np.flatnonzero(vals == value)).size:
+                    first[value] = _point_at(f, where, int(hits[0]))
+            if len(first) == len(want):
+                return pair, tuple(first[value] for value in pair)
+    raise InternalConsistencyError(
+        f"values {pair} not found in the box: form {format_form(f)}, p={p}, "
+        f"shells {walked}")
+
+
+def _value_pair(nums, p: int, tn: int, td: int, r: int):
     """First value pair (N, D) whose quotient is within p**-r of tn/td, or None.
 
-    Denominators go by (|D|, D), and each takes the least numerator N with
-    N*td = tn*D mod p**(r + v(D) + v(td)). If shift = v(tn) - v(td) >= r,
-    N is 0 or of valuation >= r + v(D). Else v(N) = v(D) + shift and, x'
-    being the unit part of x, N'*td' = tn'*D' mod p**(r - shift): one
-    modulus for every class, so one table keyed by (class, residue).
+    nums are sorted and distinct. Denominators go by (|D|, D), and each
+    takes the least numerator N with N*td = tn*D mod p**(r + v(D) + v(td)).
+    If shift = v(tn) - v(td) >= r, N is 0 or of valuation >= r + v(D). Else
+    v(N) = v(D) + shift and, x' being the unit part of x, N'*td' = tn'*D'
+    mod p**(r - shift): one modulus, so one table keyed by (class, residue).
     """
-    nums = _distinct(values)
     if nums.dtype != object:
         # int64 keeps 2|D| exact; NumPy 2 refuses a p past the dtype
         nums = nums.astype(np.int64 if p < _INT64_SAFE else object)

@@ -15,14 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .decide import decide
 from .errors import BudgetExceededError, InternalConsistencyError
 from .forms import (BinaryForm, format_form, is_isotropic_mod_p,
                     odd_singular_reduction, two_singular_reduction)
-from .oracle import (_distinct, _expanding_bounds, _obstruction, _point_at,
-                     _shell_batches, _shell_values, _value_pair)
+from .oracle import _expanding_bounds, _obstruction, _search_pair
 from .padic import INFINITY, _sqrt_mod, mod_inverse, valuation
 
 DEFAULT_BUDGET = 50
@@ -189,6 +186,8 @@ def approximate_quotient(f, p: int, target_num: int, target_den: int,
         raise ValueError("precision must be at least 1")
     if target_den == 0:
         raise ValueError("target denominator is zero")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     tn, td = Fraction(target_num, target_den).as_integer_ratio()
     verdict = decide(f, p)
     if not verdict.dense:
@@ -226,39 +225,9 @@ def _structured_witness(f: BinaryForm, p: int, tn: int, td: int, r: int,
                          "lift" if reduction is None else "reduce-lift")
 
 
-def _first_points(f, pair, bound: int) -> list[tuple[int, ...]]:
-    """One walk of the box to bound: each value's first point in product order.
-
-    The enumeration only visits the half box, the points before the origin
-    in that order, and the origin; f(-x) = f(x) and one of x, -x lies in
-    that half, so the first point of every value is still found. For value
-    0 that is the origin only when no other point of the first box has
-    value 0.
-    """
-    first, want = {}, set(pair)
-    for lo, hi in _expanding_bounds(bound):
-        for where, vals in _shell_batches(f, lo, hi):
-            for value in want - first.keys():
-                if (hits := np.flatnonzero(vals == value)).size:
-                    first[value] = _point_at(f, where, int(hits[0]))
-            if len(first) == len(want):
-                return [first[value] for value in pair]
-    raise InternalConsistencyError(f"values {pair} not found in the box")
-
-
-def _enumeration_witness(f, p: int, tn: int, td: int, r: int,
-                         limit: int) -> Witness:
-    if limit < 1:
-        raise ValueError("budget must be at least 1")
-    values = np.zeros(0, dtype=np.int64)
-    for lo, hi in _expanding_bounds(limit):
-        # each shell sorted in its own dtype, a faster sort; _value_pair sorts all
-        values = np.concatenate([values, _distinct(_shell_values(f, lo, hi))])
-        pair = _value_pair(values, p, tn, td, r)
-        if pair is not None:
-            # _expanding_bounds(hi) yields the shells searched so far
-            num, den = _first_points(f, pair, hi)
-            return Witness.build(f, p, num, den, tn, td, r, "enumeration")
+def _enumeration_witness(f, p: int, tn: int, td: int, r: int, limit: int):
+    if found := _search_pair(f, p, tn, td, r, _expanding_bounds(limit)):
+        return Witness.build(f, p, *found[1], tn, td, r, "enumeration")
     raise BudgetExceededError(
         f"no witness found with coordinates up to {limit}", limit)
 
@@ -283,11 +252,11 @@ def exclusion_certificate(f, p: int, verify_bound: int = DEFAULT_BUDGET
                          f"this form is not dense but has rank {f.rank}")
     f = f.to_binary()
     r0, target, _, why = _obstruction(verdict, p)
-    pair = _value_pair(_shell_values(f, 0, verify_bound), p, target, 1, r0)
-    if pair is not None:
+    if found := _search_pair(f, p, target, 1, r0, [(0, verify_bound)]):
+        (n, d), (x, z) = found
         raise InternalConsistencyError(
             f"exclusion certificate refuted: form {format_form(f)}, p={p}, "
             f"target {target}, radius {r0 - 1}, bound {verify_bound}: "
-            f"quotient N/D = {pair[0]}/{pair[1]} enters the ball")
+            f"quotient N/D = {n}/{d} enters the ball, N = f{x}, D = f{z}")
     return ExclusionCertificate(target, 1, r0 - 1,
                                 f"{verdict.theorem_tag}: {why}")

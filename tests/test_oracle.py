@@ -510,7 +510,9 @@ def value_pair_cases(draw):
 @settings(max_examples=400, deadline=None)
 @given(value_pair_cases())
 def test_value_pair_matches_reference(case):
-    assert _value_pair(*case) == value_pair_reference(*case)
+    # _value_pair takes the sorted distinct values; the reference any values
+    values, *rest = case
+    assert _value_pair(_distinct(values), *rest) == value_pair_reference(*case)
 
 
 # the value-pair search on real shells: boxes small enough for the quadratic
@@ -554,4 +556,7 @@ def shell_value_pair_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(shell_value_pair_cases())
 def test_value_pair_matches_reference_on_shells(case):
-    assert _value_pair(*case) == value_pair_reference(*case)
+    values, *rest = case
+    # _shell_values hands the search a sorted distinct shell
+    assert (values[1:] > values[:-1]).all()
+    assert _value_pair(_distinct(values), *rest) == value_pair_reference(*case)

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -449,10 +450,12 @@ def test_approximate_quotient_rejects_not_dense():
 
 
 def test_enumeration_witness_rejects_empty_box():
-    g = GeneralForm(3, (1, 0, 0, 1, 0, 1))
-    for budget in (0, -4):
-        with pytest.raises(ValueError, match="budget must be at least 1"):
-            approximate_quotient(g, Prime(3), 5, 1, 1, budget=budget)
+    # every rank refuses an empty box, also a binary form that would lift
+    for g, p in ((GeneralForm(3, (1, 0, 0, 1, 0, 1)), 3),
+                 (BinaryForm(1, 0, 1), 5)):
+        for budget in (0, -4):
+            with pytest.raises(ValueError, match="budget must be at least 1"):
+                approximate_quotient(g, Prime(p), 5, 1, 1, budget=budget)
 
 
 def test_budget_exhaustion():
@@ -590,12 +593,36 @@ def test_exclusion_certificate_refuted(monkeypatch):
     # the first denominator is 1 and the least numerator 1 mod 9 is -71
     monkeypatch.setattr(witness_mod, "_obstruction",
                         lambda v, p: (2, 1, lambda z: z % 3 == 1, "planted"))
+    f = BinaryForm(1, 0, -3)
     with pytest.raises(InternalConsistencyError) as info:
-        exclusion_certificate(BinaryForm(1, 0, -3), Prime(3), verify_bound=5)
+        exclusion_certificate(f, Prime(3), verify_bound=5)
     message = str(info.value)
     for part in ("1,0,-3", "p=3", "target 1", "radius 1", "bound 5",
                  "N/D = -71/1"):
         assert part in message, part
+    # the message names each value's first point in the half box
+    points = {name: (int(x), int(y)) for name, x, y in
+              re.findall(r"([ND]) = f\((-?\d+), (-?\d+)\)", message)}
+    assert points == {"N": (-2, -5), "D": (-2, -1)}
+    assert (f.evaluate(points["N"]), f.evaluate(points["D"])) == (-71, 1)
+
+
+def test_value_pair_outside_the_box_names_the_call(monkeypatch):
+    # plant a search that answers a pair the box does not hold: the second
+    # walk cannot find its points and says which form, p and shells it walked
+    monkeypatch.setattr(oracle_mod, "_value_pair", lambda *args: (7, 10 ** 9))
+    cases = [(exclusion_certificate, (BinaryForm(1, 0, -3), Prime(3), 5),
+              ("form 1,0,-3", "p=3", "shells [(0, 5)]")),
+             (approximate_quotient,
+              (GeneralForm(3, (1, 0, 0, 1, 0, 1)), Prime(5), 2, 1, 1),
+              ("form 3; 1,0,0,1,0,1", "p=5", "shells [(0, 4)]"))]
+    for call, args, parts in cases:
+        with pytest.raises(InternalConsistencyError) as info:
+            call(*args)
+        message = str(info.value)
+        assert "values (7, 1000000000) not found in the box" in message
+        for part in parts:
+            assert part in message, part
 
 
 def test_exclusion_certificate_over_many_blocks(monkeypatch):
