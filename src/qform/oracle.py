@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import count, groupby, islice, product
 from math import gcd
 
-import numpy as np
-
 from .decide import (LEAF_ANISOTROPIC, LEAF_ODD_K_ODD, LEAF_ODD_NONRESIDUE,
                      LEAF_TWO_K_ODD, LEAF_TWO_UNIT_NONSQUARE, TAG_RANK_ONE,
                      Verdict, decide)
@@ -31,6 +29,18 @@ _INT32_SAFE = 2 ** 31
 _MAX_MODULUS = 2 ** 24
 # entries per block, pairing product and fold: add_batch's ~13 passes stay in L2
 _CHUNK_ENTRIES = 2 ** 17
+
+
+class _LazyNumpy:
+    """Imports numpy on first use and rebinds np: decide never needs numpy."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _LazyNumpy()
 
 
 class _ResidueTracker:

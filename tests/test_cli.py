@@ -2,15 +2,19 @@ import importlib
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qform
 import qform.witness as witness_mod
 from qform import valuation
 from qform.cli import (UsageError, _attach_signed_values, _parse, build_parser,
@@ -593,3 +597,65 @@ def test_dispatch_parses_as_the_top_level_parser(command, request, noise,
         command + [token for chunk in chunks for token in chunk])
     assert parse_outcome(_parse, argv) == \
         parse_outcome(build_parser().parse_args, argv), argv
+
+
+def fresh_python(code: str) -> str:
+    """Stdout of code run in a new interpreter that imports this qform."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qform.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
+_COLD_STEPS = [
+    "decide --form 1,0,1 --prime 5",
+    "explain --form 1,0,1 --prime 5 --plain",
+    "witness --form 1,0,1 --prime 5 --target 3 --r 4",
+    "witness --form 2,1,1 --prime 2 --target 3 --r 5",
+    "witness --form 1,0,-9 --prime 3 --target 2 --r 2",
+    "oracle --form 1,0,1 --prime 3 --r 2",
+]
+
+
+def test_numpy_loads_on_first_enumeration():
+    # decide, explain and rank-2 lifts are integer arithmetic: a cold process
+    # runs them without numpy, and the first oracle call loads it
+    steps = json.loads(fresh_python(f"""
+import io, json, sys
+from contextlib import redirect_stdout
+import qform, qform.cli
+steps = [["import", "numpy" in sys.modules]]
+for argv in {_COLD_STEPS!r}:
+    with redirect_stdout(io.StringIO()) as out:
+        code = qform.cli.main(argv.split())
+    steps.append([argv, "numpy" in sys.modules, code, out.getvalue()])
+print(json.dumps(steps))
+"""))
+    assert [step[:2] for step in steps] == \
+        [["import", False]] + [[argv, argv.startswith("oracle")]
+                               for argv in _COLD_STEPS]
+    assert all(step[2] == 0 for step in steps[1:]), steps
+    strategies = [json.loads(step[3])["witness"]["strategy"]
+                  for step in steps if step[0].startswith("witness")]
+    assert strategies == ["lift", "lift", "reduce-lift"]
+
+
+@pytest.mark.parametrize("call", [
+    "coverage(BinaryForm(1, 0, 1), Prime(3), 2, 30)",
+    "cross_check(BinaryForm(1, 0, 1), Prime(5), 2, 50)",
+    "exclusion_certificate(BinaryForm(1, 0, 1), Prime(3))",
+    "approximate_quotient(GeneralForm(3, (1, 0, 0, 1, 0, -3)), Prime(3),"
+    " 5, 1, 2)",
+])
+def test_first_numpy_use_matches_in_process(call):
+    # each call is the first to touch oracle.np in its process: the stand-in
+    # must load numpy there and give the same record as a warm process
+    got = fresh_python(f"""
+import json, sys
+from qform import *
+assert "numpy" not in sys.modules
+record = {call}.to_json_dict()
+assert "numpy" in sys.modules
+print(json.dumps(record))
+""")
+    want = eval(call, vars(qform)).to_json_dict()
+    assert json.loads(got) == json.loads(json.dumps(want))
