@@ -17,13 +17,12 @@ from .forms import (BinaryForm, GeneralForm, InvalidFormError, arnold_compose,
                     change_variables, factor_discriminant, format_form,
                     is_isotropic_mod_p, odd_singular_reduction, parse_form,
                     two_singular_reduction)
-from .oracle import (CoverageReport, CrossCheckReport, coverage, cross_check,
-                     excluded_classes)
 from .padic import (INFINITY, Prime, is_prime, is_square_in_qp, legendre,
                     mod_inverse, split_unit, valuation)
-from .witness import (ExclusionCertificate, Witness, approximate_quotient,
-                      exclusion_certificate, lift_representation,
-                      lift_representation_two, quotient_error_valuation)
+_LAZY = dict.fromkeys("""oracle CoverageReport CrossCheckReport coverage cross_check
+    excluded_classes""".split(), "oracle") | dict.fromkeys("""ExclusionCertificate
+    Witness approximate_quotient exclusion_certificate lift_representation witness
+    lift_representation_two quotient_error_valuation""".split(), "witness")
 
 __version__ = "0.1.0"
 
@@ -44,3 +43,16 @@ __all__ = [
     "quotient_error_valuation", "split_unit", "two_singular_reduction",
     "valuation",
 ]
+
+
+def __getattr__(name):
+    """Import a name of _LAZY on first use (PEP 562), then keep it here."""
+    from importlib import import_module
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_LAZY[name]}", __name__)
+    return globals().setdefault(name, getattr(module, name, module))
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

@@ -23,6 +23,9 @@ from .oracle import _expanding_bounds, _obstruction, _search_pair
 from .padic import INFINITY, _sqrt_mod, mod_inverse, valuation
 
 DEFAULT_BUDGET = 50
+# a witness works with integers near p**(r + 2 v(td)), and CPython divides them
+# in time quadratic in their bits: past this many a request is refused up front
+MAX_PRECISION_BITS = 1 << 18
 
 
 def quotient_error_valuation(num_value: int, den_value: int,
@@ -189,26 +192,29 @@ def approximate_quotient(f, p: int, target_num: int, target_den: int,
     if budget < 1:
         raise ValueError("budget must be at least 1")
     tn, td = Fraction(target_num, target_den).as_integer_ratio()
+    precision = r + 2 * int(valuation(td, p))
+    if (bits := precision * p.bit_length()) > MAX_PRECISION_BITS:
+        raise ValueError(f"r = {r} at p = {p} needs precision {precision}: {bits} "
+                         f"bits, past the limit of {MAX_PRECISION_BITS} bits")
     verdict = decide(f, p)
     if not verdict.dense:
         raise ValueError(
             f"quotients are not dense at p={p} ({verdict.theorem_tag}); "
             "no witness exists")
     if f.rank == 2:
-        return _structured_witness(f.to_binary(), p, tn, td, r,
+        return _structured_witness(f.to_binary(), p, tn, td, r, precision,
                                    verdict.factorization.k)
     return _enumeration_witness(f, p, tn, td, r, budget)
 
 
 def _structured_witness(f: BinaryForm, p: int, tn: int, td: int, r: int,
-                        k: int) -> Witness:
+                        precision: int, k: int) -> Witness:
     """Lift both target components to precision r + 2*val(td); quotient follows.
 
-    With N = tn and D = td mod p**M for M = r + 2*val(td), the error
+    With N = tn and D = td mod p**M for M = precision = r + 2*val(td), the error
     N*td - tn*D is divisible by p**M while val(D) = val(td), which pushes the
     quotient within p**-r of tn/td. k is the discriminant's valuation at p.
     """
-    precision = r + 2 * int(valuation(td, p))
     reduction = None
     if k:
         reduction = two_singular_reduction(f) if p == 2 \

@@ -657,5 +657,78 @@ record = {call}.to_json_dict()
 assert "numpy" in sys.modules
 print(json.dumps(record))
 """)
-    want = eval(call, vars(qform)).to_json_dict()
+    exports = {name: getattr(qform, name) for name in qform.__all__}
+    want = eval(call, exports).to_json_dict()
     assert json.loads(got) == json.loads(json.dumps(want))
+
+
+_LAZY_EXPORTS = {
+    "oracle": ["CoverageReport", "CrossCheckReport", "coverage", "cross_check",
+               "excluded_classes"],
+    "witness": ["ExclusionCertificate", "Witness", "approximate_quotient",
+                "exclusion_certificate", "lift_representation",
+                "lift_representation_two", "quotient_error_valuation"]}
+
+
+def test_import_loads_only_the_deciders():
+    # import qform loads decide, forms, padic and errors; the oracle and
+    # witness exports load on first use (PEP 562) and are then the very
+    # objects of their modules, with qform.decide still the function
+    got = json.loads(fresh_python(f"""
+import json, sys, types
+import qform
+def loaded():
+    return [m for m in ("qform.oracle", "qform.witness", "numpy")
+            if m in sys.modules]
+facts = {{"import": loaded(),
+          "lazy": sorted(set(qform.__all__) - set(vars(qform))),
+          "dir": sorted(set(qform.__all__) - set(dir(qform)))}}
+try:
+    qform.no_such_name
+except AttributeError as exc:
+    facts["unknown"] = [type(exc).__name__, str(exc), exc.name]
+modules = {{m: getattr(qform, m) for m in {sorted(_LAZY_EXPORTS)!r}}}
+facts["same"] = [m + "." + name for m, names in {_LAZY_EXPORTS!r}.items()
+                 for name in names
+                 if getattr(qform, name) is getattr(modules[m], name)]
+facts["submodules"] = [m for m, mod in modules.items()
+                       if mod is sys.modules["qform." + m]]
+facts["kept"] = sorted(set(qform.__all__) - set(vars(qform)))
+facts["decide"] = isinstance(qform.decide, types.FunctionType)
+facts["after"] = loaded()
+print(json.dumps(facts))
+"""))
+    lazy = sorted(name for names in _LAZY_EXPORTS.values() for name in names)
+    assert got == {
+        "import": [], "lazy": lazy, "dir": [],
+        "unknown": ["AttributeError",
+                    "module 'qform' has no attribute 'no_such_name'",
+                    "no_such_name"],
+        "same": [f"{m}.{name}" for m, names in _LAZY_EXPORTS.items()
+                 for name in names],
+        "submodules": ["oracle", "witness"], "kept": [], "decide": True,
+        "after": ["qform.oracle", "qform.witness"]}
+
+
+def test_cli_import_still_loads_oracle_and_witness():
+    # the benchmark reads qform.oracle and qform.witness from sys.modules
+    # right after import qform.cli
+    got = fresh_python("""
+import sys
+import qform.cli
+print("qform.oracle" in sys.modules, "qform.witness" in sys.modules)
+""")
+    assert got.split() == ["True", "True"]
+
+
+@pytest.mark.parametrize("form", [["--form", "1,0,1"],
+                                  ["--rank", "3", "--coeffs", "1,0,0,1,0,1"]])
+def test_huge_r_witness_is_refused_quickly(capsys, form):
+    # the working precision is checked in bits before any lift or search
+    start = time.perf_counter()
+    code, out, err = run(capsys, "witness", *form, "--prime", "5",
+                         "--target", "3", "--r", str(10 ** 6))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == ("error: r = 1000000 at p = 5 needs precision 1000000: "
+                   "3000000 bits, past the limit of 262144 bits\n")

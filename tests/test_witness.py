@@ -165,6 +165,27 @@ def test_doubling_lift_is_fast_at_large_r():
     assert w.achieved_valuation >= 5000
 
 
+def test_precision_is_capped_in_bits():
+    # (r + 2 v(td)) * p.bit_length() may reach MAX_PRECISION_BITS: a lift at
+    # the limit finishes, and one step past it is refused before any work
+    limit, p = witness_mod.MAX_PRECISION_BITS, Prime(5)
+    r = limit // p.bit_length()
+    start = time.perf_counter()
+    w = approximate_quotient(BinaryForm(1, 0, 1), p, 3, 1, r)
+    assert time.perf_counter() - start < 3.0
+    assert w.achieved_valuation >= r
+    rank_three = GeneralForm(3, (1, 0, 0, 1, 0, 1))
+    assert approximate_quotient(rank_three, p, 3, 1, r).precision == r
+    for f, tn, td, rr in ((BinaryForm(1, 0, 1), 3, 1, r + 1),
+                          (BinaryForm(1, 0, 1), 3, 25, r - 3),
+                          (rank_three, 3, 1, r + 1),
+                          (BinaryForm(1, 0, 1), 3, 1, 10 ** 9)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"past the limit of {limit} bits"):
+            approximate_quotient(f, p, tn, td, rr)
+        assert time.perf_counter() - start < 0.1
+
+
 def test_lift_inverts_its_partial_once(monkeypatch):
     # the partial's inverse is taken mod p and refined with the point, not
     # recomputed mod p**s at each of the 16 doublings
