@@ -19,10 +19,12 @@ from .forms import (BinaryForm, GeneralForm, InvalidFormError, arnold_compose,
                     two_singular_reduction)
 from .padic import (INFINITY, Prime, is_prime, is_square_in_qp, legendre,
                     mod_inverse, split_unit, valuation)
-_LAZY = dict.fromkeys("""oracle CoverageReport CrossCheckReport coverage cross_check
-    excluded_classes""".split(), "oracle") | dict.fromkeys("""ExclusionCertificate
-    Witness approximate_quotient exclusion_certificate lift_representation witness
-    lift_representation_two quotient_error_valuation""".split(), "witness")
+_LAZY = {name: "oracle" for name in (
+    "oracle", "CoverageReport", "CrossCheckReport", "coverage", "cross_check",
+    "excluded_classes")} | {name: "witness" for name in (
+    "witness", "ExclusionCertificate", "Witness", "approximate_quotient",
+    "exclusion_certificate", "lift_representation", "lift_representation_two",
+    "quotient_error_valuation")}
 
 __version__ = "0.1.0"
 
@@ -51,7 +53,8 @@ def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = import_module(f".{_LAZY[name]}", __name__)
-    return globals().setdefault(name, getattr(module, name, module))
+    value = module if name == _LAZY[name] else getattr(module, name)
+    return globals().setdefault(name, value)
 
 
 def __dir__():

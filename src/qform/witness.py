@@ -23,8 +23,9 @@ from .oracle import _expanding_bounds, _obstruction, _search_pair
 from .padic import INFINITY, _sqrt_mod, mod_inverse, valuation
 
 DEFAULT_BUDGET = 50
-# a witness works with integers near p**(r + 2 v(td)), and CPython divides them
-# in time quadratic in their bits: past this many a request is refused up front
+# a witness works with integers near p**(r + 2 v(td)), of at most ceil(log2 p)
+# bits a digit (exactly 1 at p = 2), and CPython divides them in time quadratic
+# in their bits: past this many a request is refused up front
 MAX_PRECISION_BITS = 1 << 18
 
 
@@ -193,7 +194,7 @@ def approximate_quotient(f, p: int, target_num: int, target_den: int,
         raise ValueError("budget must be at least 1")
     tn, td = Fraction(target_num, target_den).as_integer_ratio()
     precision = r + 2 * int(valuation(td, p))
-    if (bits := precision * p.bit_length()) > MAX_PRECISION_BITS:
+    if (bits := precision * (p - 1).bit_length()) > MAX_PRECISION_BITS:
         raise ValueError(f"r = {r} at p = {p} needs precision {precision}: {bits} "
                          f"bits, past the limit of {MAX_PRECISION_BITS} bits")
     verdict = decide(f, p)

@@ -24,7 +24,7 @@ def test_source_stays_small():
     # raises this bound and says so in CHANGES.md
     counts = {path.name: len(path.read_text(encoding="utf-8").splitlines())
               for path in sorted(Path(qform.__file__).parent.glob("*.py"))}
-    assert sum(counts.values()) <= 1733, \
+    assert sum(counts.values()) <= 1737, \
         ", ".join(f"{name} {n}" for name, n in counts.items())
 
 

@@ -671,16 +671,21 @@ _LAZY_EXPORTS = {
 
 
 def test_import_loads_only_the_deciders():
-    # import qform loads decide, forms, padic and errors; the oracle and
-    # witness exports load on first use (PEP 562) and are then the very
-    # objects of their modules, with qform.decide still the function
+    # import qform loads decide, forms, padic and errors, and a caller that
+    # only decides (README's first Library example) loads nothing more; the
+    # oracle and witness exports load on first use (PEP 562) and are then
+    # the very objects of their modules, with qform.decide still the function
     got = json.loads(fresh_python(f"""
 import json, sys, types
 import qform
 def loaded():
     return [m for m in ("qform.oracle", "qform.witness", "numpy")
             if m in sys.modules]
-facts = {{"import": loaded(),
+facts = {{"import": loaded()}}
+for f in (qform.BinaryForm(1, 0, 1), qform.GeneralForm(3, (1, 0, 0, 1, 0, 1))):
+    for p in (2, 3, 5, 13):
+        qform.decide(f, qform.Prime(p)).to_json_dict()
+facts |= {{"decided": loaded(),
           "lazy": sorted(set(qform.__all__) - set(vars(qform))),
           "dir": sorted(set(qform.__all__) - set(dir(qform)))}}
 try:
@@ -700,7 +705,7 @@ print(json.dumps(facts))
 """))
     lazy = sorted(name for names in _LAZY_EXPORTS.values() for name in names)
     assert got == {
-        "import": [], "lazy": lazy, "dir": [],
+        "import": [], "decided": [], "lazy": lazy, "dir": [],
         "unknown": ["AttributeError",
                     "module 'qform' has no attribute 'no_such_name'",
                     "no_such_name"],
@@ -708,6 +713,14 @@ print(json.dumps(facts))
                  for name in names],
         "submodules": ["oracle", "witness"], "kept": [], "decide": True,
         "after": ["qform.oracle", "qform.witness"]}
+
+
+def test_lazy_entry_missing_from_its_module_raises(monkeypatch):
+    # a table entry that its submodule lacks fails loudly, never as the module
+    monkeypatch.setitem(qform._LAZY, "no_such_export", "oracle")
+    with pytest.raises(AttributeError, match="'qform.oracle' has no attribute"):
+        qform.no_such_export
+    assert "no_such_export" not in vars(qform)
 
 
 def test_cli_import_still_loads_oracle_and_witness():

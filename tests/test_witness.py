@@ -166,10 +166,10 @@ def test_doubling_lift_is_fast_at_large_r():
 
 
 def test_precision_is_capped_in_bits():
-    # (r + 2 v(td)) * p.bit_length() may reach MAX_PRECISION_BITS: a lift at
+    # (r + 2 v(td)) * ceil(log2 p) may reach MAX_PRECISION_BITS: a lift at
     # the limit finishes, and one step past it is refused before any work
     limit, p = witness_mod.MAX_PRECISION_BITS, Prime(5)
-    r = limit // p.bit_length()
+    r = limit // (p - 1).bit_length()
     start = time.perf_counter()
     w = approximate_quotient(BinaryForm(1, 0, 1), p, 3, 1, r)
     assert time.perf_counter() - start < 3.0
@@ -184,6 +184,13 @@ def test_precision_is_capped_in_bits():
         with pytest.raises(ValueError, match=f"past the limit of {limit} bits"):
             approximate_quotient(f, p, tn, td, rr)
         assert time.perf_counter() - start < 0.1
+    # one bit a digit at p = 2, so a binary lift there may reach r = limit
+    start = time.perf_counter()
+    w = approximate_quotient(BinaryForm(2, 1, 1), Prime(2), 3, 1, limit)
+    assert time.perf_counter() - start < 3.0
+    assert w.achieved_valuation >= limit
+    with pytest.raises(ValueError, match=f"past the limit of {limit} bits"):
+        approximate_quotient(BinaryForm(2, 1, 1), Prime(2), 3, 1, limit + 1)
 
 
 def test_lift_inverts_its_partial_once(monkeypatch):
