@@ -9,36 +9,61 @@ nonzero discriminant (nonsingular over the rationals).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import index
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
 from .padic import legendre, mod_inverse, split_unit
 
+_set = object.__setattr__  # gets past the records' own __setattr__, which refuses
+
 
 class InvalidFormError(ValueError):
     """Coefficients violate a structural hypothesis (primitive, nonsingular, shape)."""
 
 
-@dataclass(frozen=True, slots=True)
-class BinaryForm:
-    a: int
-    b: int
-    c: int
+class _Frozen:
+    """Base of the immutable form records: __init__ sets each field of __slots__
+    once, and _key, their values in order, which ==, hash, repr and pickle read."""
 
+    __slots__ = ("_key",)
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ \
+            else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class BinaryForm(_Frozen):
+    __slots__ = ("a", "b", "c")
     rank = 2
+    coeffs = _Frozen._key  # (a, b, c), read straight from the slot
 
-    def __post_init__(self):
-        g = math.gcd(self.a, self.b, self.c)
-        if g != 1:
+    def __init__(self, a: int, b: int, c: int):
+        if (g := math.gcd(a, b, c)) != 1:
+            raise InvalidFormError(f"form ({a},{b},{c}) is not primitive: "
+                                   f"coefficients share the factor {g}")
+        if b * b - 4 * a * c == 0:
             raise InvalidFormError(
-                f"form ({self.a},{self.b},{self.c}) is not primitive: "
-                f"coefficients share the factor {g if g else 0}")
-        if self.b * self.b - 4 * self.a * self.c == 0:
-            raise InvalidFormError(
-                f"form ({self.a},{self.b},{self.c}) is not nonsingular: "
-                "discriminant is zero")
+                f"form ({a},{b},{c}) is not nonsingular: discriminant is zero")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "_key", (a, b, c))
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
@@ -49,10 +74,6 @@ class BinaryForm:
         x, y = point
         return self.a * x * x + self.b * x * y + self.c * y * y
 
-    @property
-    def coeffs(self) -> tuple[int, int, int]:
-        return self.a, self.b, self.c
-
     def to_binary(self) -> "BinaryForm":
         return self
 
@@ -61,47 +82,24 @@ class BinaryForm:
         return BinaryForm(self.c, self.b, self.a)
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    n = len(m)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            for j in range(i + 1, n):
-                if m[j][i]:
-                    m[i], m[j] = m[j], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for j in range(i + 1, n):
-            for k in range(i + 1, n):
-                m[j][k] = (m[j][k] * m[i][i] - m[j][i] * m[i][k]) // prev
-        prev = m[i][i]
-    return sign * m[-1][-1]
+class GeneralForm(_Frozen):
+    """Rank-r integral form; coeffs lists the upper triangle row by row:
+    a_11, a_12, ..., a_1r, a_22, ..., a_2r, ..., a_rr."""
 
+    __slots__ = ("rank", "coeffs")
 
-@dataclass(frozen=True, slots=True)
-class GeneralForm:
-    """Rank-r integral form, coefficients in upper-triangular row order.
-
-    coeffs lists a_11, a_12, ..., a_1r, a_22, ..., a_2r, ..., a_rr.
-    """
-
-    rank: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise InvalidFormError(f"rank must be positive, got {self.rank}")
-        want = self.rank * (self.rank + 1) // 2
-        if len(self.coeffs) != want:
+    def __init__(self, rank: int, coeffs: tuple[int, ...]):
+        if rank < 1:
+            raise InvalidFormError(f"rank must be positive, got {rank}")
+        want = rank * (rank + 1) // 2
+        if len(coeffs) != want:
             raise InvalidFormError(
-                f"rank {self.rank} needs {want} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
-        if math.gcd(*self.coeffs) != 1:
+                f"rank {rank} needs {want} coefficients, got {len(coeffs)}")
+        coeffs = tuple(map(index, coeffs))
+        _set(self, "rank", rank)
+        _set(self, "coeffs", coeffs)
+        _set(self, "_key", (rank, coeffs))
+        if math.gcd(*coeffs) != 1:
             raise InvalidFormError("form is not primitive: coefficients share a factor")
         if self.determinant() == 0:
             raise InvalidFormError("form is not nonsingular: matrix determinant is zero")
@@ -116,15 +114,22 @@ class GeneralForm:
     def matrix(self) -> list[list[int]]:
         """Symmetric matrix with doubled diagonal, so Q(x) = x^T A x / 2."""
         r = self.rank
-        m = [[0] * r for _ in range(r)]
-        for i in range(r):
-            m[i][i] = 2 * self.coeff(i, i)
-            for j in range(i + 1, r):
-                m[i][j] = m[j][i] = self.coeff(i, j)
-        return m
+        return [[self.coeff(i, j) * (1 + (i == j)) for j in range(r)] for i in range(r)]
 
     def determinant(self) -> int:
-        return _det_bareiss(self.matrix())
+        """det(matrix()), exact, by fraction-free (Bareiss) elimination."""
+        m, n, sign, prev = self.matrix(), self.rank, 1, 1
+        for i in range(n - 1):
+            if m[i][i] == 0:
+                j = next((row for row in range(i + 1, n) if m[row][i]), None)
+                if j is None:
+                    return 0
+                m[i], m[j], sign = m[j], m[i], -sign
+            for j in range(i + 1, n):
+                for k in range(i + 1, n):
+                    m[j][k] = (m[j][k] * m[i][i] - m[j][i] * m[i][k]) // prev
+            prev = m[i][i]
+        return sign * m[-1][-1]
 
     def evaluate(self, point) -> int:
         if len(point) != self.rank:
@@ -136,7 +141,7 @@ class GeneralForm:
     def to_binary(self) -> BinaryForm:
         if self.rank != 2:
             raise InvalidFormError(f"rank {self.rank} form has no binary equivalent")
-        return BinaryForm(self.coeffs[0], self.coeffs[1], self.coeffs[2])
+        return BinaryForm(*self.coeffs)
 
 
 class DiscFactorization(NamedTuple):
@@ -172,8 +177,7 @@ def is_isotropic_mod_p(f: BinaryForm, p: int) -> bool:
     return legendre(f.discriminant(), p) != -1
 
 
-@dataclass(frozen=True, slots=True)
-class SingularReduction:
+class SingularReduction(NamedTuple):
     """Outcome of stripping an even power p**k from the discriminant.
 
     f(matrix . x) = p**k * reduced(x) and reduced has discriminant

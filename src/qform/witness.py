@@ -12,8 +12,8 @@ no quotient at all, and verifies that claim by exhaustive search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .decide import decide
 from .errors import BudgetExceededError, InternalConsistencyError
@@ -126,8 +126,7 @@ def lift_representation_two(f: BinaryForm, n: int, r: int) -> tuple[int, int]:
     return (y, x) if swapped else (x, y)
 
 
-@dataclass(frozen=True, slots=True)
-class Witness:
+class Witness(NamedTuple):
     """A validated approximation of a target rational by a value quotient."""
 
     num_point: tuple[int, ...]
@@ -154,17 +153,15 @@ class Witness:
                    r, strategy, achieved)
 
     def to_json_dict(self) -> dict:
-        target = f"{self.target_num}/{self.target_den}"
-        if len(self.num_point) == 2:
-            (x, y), (z, w) = self.num_point, self.den_point
-            return {"x": x, "y": y, "z": z, "w": w,
-                    "target": target, "r": self.precision, "strategy": self.strategy}
-        return {"x": list(self.num_point), "z": list(self.den_point),
-                "target": target, "r": self.precision, "strategy": self.strategy}
+        x, z = self.num_point, self.den_point
+        out = {"x": x[0], "y": x[1], "z": z[0], "w": z[1]} if len(x) == 2 \
+            else {"x": list(x), "z": list(z)}
+        out["target"] = f"{self.target_num}/{self.target_den}"
+        out["r"], out["strategy"] = self.precision, self.strategy
+        return out
 
 
-@dataclass(frozen=True, slots=True)
-class ExclusionCertificate:
+class ExclusionCertificate(NamedTuple):
     """A ball no quotient enters: |q - target| < p**-radius_exponent never holds."""
 
     target_num: int
@@ -199,9 +196,8 @@ def approximate_quotient(f, p: int, target_num: int, target_den: int,
                          f"bits, past the limit of {MAX_PRECISION_BITS} bits")
     verdict = decide(f, p)
     if not verdict.dense:
-        raise ValueError(
-            f"quotients are not dense at p={p} ({verdict.theorem_tag}); "
-            "no witness exists")
+        raise ValueError(f"quotients are not dense at p={p} ({verdict.theorem_tag}); "
+                         "no witness exists")
     if f.rank == 2:
         return _structured_witness(f.to_binary(), p, tn, td, r, precision,
                                    verdict.factorization.k)

@@ -672,14 +672,15 @@ _LAZY_EXPORTS = {
 
 def test_import_loads_only_the_deciders():
     # import qform loads decide, forms, padic and errors, and a caller that
-    # only decides (README's first Library example) loads nothing more; the
-    # oracle and witness exports load on first use (PEP 562) and are then
-    # the very objects of their modules, with qform.decide still the function
+    # only decides (README's first Library example) loads nothing more, not
+    # even dataclasses; the oracle and witness exports load on first use
+    # (PEP 562) and are then the very objects of their modules, with
+    # qform.decide still the function
     got = json.loads(fresh_python(f"""
 import json, sys, types
 import qform
 def loaded():
-    return [m for m in ("qform.oracle", "qform.witness", "numpy")
+    return [m for m in ("qform.oracle", "qform.witness", "numpy", "dataclasses")
             if m in sys.modules]
 facts = {{"import": loaded()}}
 for f in (qform.BinaryForm(1, 0, 1), qform.GeneralForm(3, (1, 0, 0, 1, 0, 1))):
@@ -692,6 +693,8 @@ try:
     qform.no_such_name
 except AttributeError as exc:
     facts["unknown"] = [type(exc).__name__, str(exc), exc.name]
+qform.coverage
+facts["first_oracle_name"] = loaded()
 modules = {{m: getattr(qform, m) for m in {sorted(_LAZY_EXPORTS)!r}}}
 facts["same"] = [m + "." + name for m, names in {_LAZY_EXPORTS!r}.items()
                  for name in names
@@ -701,6 +704,12 @@ facts["submodules"] = [m for m, mod in modules.items()
 facts["kept"] = sorted(set(qform.__all__) - set(vars(qform)))
 facts["decide"] = isinstance(qform.decide, types.FunctionType)
 facts["after"] = loaded()
+import dataclasses, qform.cli
+facts["dataclasses"] = sorted(
+    value.__qualname__ for name, module in sys.modules.items()
+    if name.split(".")[0] == "qform" for value in vars(module).values()
+    if isinstance(value, type) and value.__module__ == name
+    and dataclasses.is_dataclass(value))
 print(json.dumps(facts))
 """))
     lazy = sorted(name for names in _LAZY_EXPORTS.values() for name in names)
@@ -709,10 +718,14 @@ print(json.dumps(facts))
         "unknown": ["AttributeError",
                     "module 'qform' has no attribute 'no_such_name'",
                     "no_such_name"],
+        "first_oracle_name": ["qform.oracle", "dataclasses"],
         "same": [f"{m}.{name}" for m, names in _LAZY_EXPORTS.items()
                  for name in names],
         "submodules": ["oracle", "witness"], "kept": [], "decide": True,
-        "after": ["qform.oracle", "qform.witness"]}
+        "after": ["qform.oracle", "qform.witness", "dataclasses"],
+        # the two oracle reports stay dataclasses until the benchmark stops
+        # calling dataclasses.replace on them (ROADMAP item 11)
+        "dataclasses": ["CoverageReport", "CrossCheckReport"]}
 
 
 def test_lazy_entry_missing_from_its_module_raises(monkeypatch):

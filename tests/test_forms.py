@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from itertools import product
@@ -10,11 +12,12 @@ from hypothesis import strategies as st
 
 import qform.forms as forms_mod
 from qform import (BinaryForm, GeneralForm, InternalConsistencyError,
-                   InvalidFormError, Prime, arnold_compose, change_variables,
-                   decide, decide_binary_squareclass, decide_binary_tree,
-                   factor_discriminant, format_form, is_isotropic_mod_p,
-                   odd_singular_reduction, parse_form, two_singular_reduction,
-                   valuation)
+                   InvalidFormError, Prime, approximate_quotient,
+                   arnold_compose, change_variables, decide,
+                   decide_binary_squareclass, decide_binary_tree,
+                   exclusion_certificate, factor_discriminant, format_form,
+                   is_isotropic_mod_p, odd_singular_reduction, parse_form,
+                   two_singular_reduction, valuation)
 from qform.cli import main
 
 rng = random.Random(0xf0e)
@@ -104,6 +107,72 @@ def test_general_form_refuses_non_integers():
     g = GeneralForm(3, (np.int64(1), 0, 0, Prime(3), 0, np.int32(1)))
     assert g.coeffs == (1, 0, 0, 3, 0, 1)
     assert all(type(v) is int for v in g.coeffs)
+
+
+class _Index:
+    """An integer through __index__ alone, not an int subclass."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_form_records_keep_their_contract():
+    # BinaryForm and GeneralForm are slotted records, not dataclasses; they
+    # keep the dataclass repr (tests/golden.json pins it), equality within
+    # one class only, the hash of their field tuple and their immutability
+    f, g = BinaryForm(1, 0, 1), GeneralForm(3, (1, 0, 0, 1, 0, 1))
+    assert repr(f) == "BinaryForm(a=1, b=0, c=1)"
+    assert repr(g) == "GeneralForm(rank=3, coeffs=(1, 0, 0, 1, 0, 1))"
+    assert repr(BinaryForm(-2, 3, 5)) == "BinaryForm(a=-2, b=3, c=5)"
+    assert f == BinaryForm(1, 0, 1) and f != BinaryForm(1, 0, 2)
+    assert g == GeneralForm(3, [1, 0, 0, 1, 0, 1])
+    assert f != (1, 0, 1) and (1, 0, 1) != f and f.__eq__((1, 0, 1)) is NotImplemented
+    assert g != (3, (1, 0, 0, 1, 0, 1))
+    two = GeneralForm(2, (1, 0, 1))
+    assert f != two and two != f and f.__eq__(two) is NotImplemented
+    assert two.to_binary() == f
+    assert hash(f) == hash((1, 0, 1)) == hash(BinaryForm(1, 0, 1))
+    assert hash(g) == hash((3, (1, 0, 0, 1, 0, 1)))
+    assert len({f, BinaryForm(1, 0, 1), two, GeneralForm(2, [1, 0, 1])}) == 2
+    assert (f.rank, f.coeffs, g.rank, g.coeffs) == (2, (1, 0, 1), 3, (1, 0, 0, 1, 0, 1))
+    for record, field in ((f, "a"), (f, "b"), (f, "c"), (f, "coeffs"), (f, "rank"),
+                          (g, "rank"), (g, "coeffs"), (f, "extra"), (g, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 7)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert (f, g) == (BinaryForm(1, 0, 1), GeneralForm(3, (1, 0, 0, 1, 0, 1)))
+    # GeneralForm still reads each coefficient through operator.index
+    h = GeneralForm(2, [_Index(1), True, np.int32(3)])
+    assert h.coeffs == (1, 1, 3) and all(type(v) is int for v in h.coeffs)
+    assert h == GeneralForm(2, (1, 1, 3)) and hash(h) == hash((2, (1, 1, 3)))
+    with pytest.raises(TypeError):
+        GeneralForm(2, (1, 0.5, 1))
+
+
+def test_records_survive_pickle_and_copy():
+    # the forms' __setattr__ refuses every field, so pickling goes through
+    # __reduce__ and the constructor; the named tuples pickle as tuples
+    records = [BinaryForm(1, 0, -9), GeneralForm(3, (1, 0, 0, 1, 0, 3)),
+               odd_singular_reduction(BinaryForm(1, 0, -9), 3),
+               approximate_quotient(BinaryForm(1, 0, 1), Prime(5), 3, 5, 4),
+               approximate_quotient(GeneralForm(3, (1, 0, 0, 1, 0, 3)), Prime(7),
+                                    2, 3, 2),
+               exclusion_certificate(BinaryForm(1, 0, 1), Prime(3))]
+    assert [type(r).__name__ for r in records] == [
+        "BinaryForm", "GeneralForm", "SingularReduction", "Witness", "Witness",
+        "ExclusionCertificate"]
+    for record in records:
+        copies = [copy.copy(record), copy.deepcopy(record)] + [
+            pickle.loads(pickle.dumps(record, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert type(other) is type(record)
+            assert other == record and repr(other) == repr(record)
+            assert hash(other) == hash(record)
 
 
 def test_general_to_binary():
