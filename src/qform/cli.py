@@ -7,12 +7,12 @@ other or with the oracle), which always means a bug rather than bad input.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .decide import decide
 from .errors import BudgetExceededError, InternalConsistencyError
@@ -29,11 +29,6 @@ class UsageError(Exception):
     """Bad command line input; reported on stderr with exit code 1."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
 # options whose values may start with "-": a negative coefficient or target
 _SIGNED_OPTIONS = ("--form", "--coeffs", "--target")
 
@@ -41,7 +36,7 @@ _SIGNED_OPTIONS = ("--form", "--coeffs", "--target")
 def _attach_signed_values(argv: list[str]) -> list[str]:
     """Rewrite "--form -1,0,1" as "--form=-1,0,1".
 
-    argparse reads a separate value that starts with "-" as another option.
+    _read and argparse take a separate value that starts with "-" for an option.
     A following "--name" stays an option, so a missing value is still reported.
     """
     out: list[str] = []
@@ -53,80 +48,8 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _add_form_arguments(sp):
-    sp.add_argument("--form",
-                    help='binary form "a,b,c" or general form "rank; coeffs"')
-    sp.add_argument("--rank", type=int, help="rank when giving bare --coeffs")
-    sp.add_argument("--coeffs",
-                    help="comma separated coefficients, upper triangle by rows")
-    sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--plain", action="store_true",
-                    help="human readable text instead of JSON")
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The qform parser, built on first use and shared by every later call,
-    so callers must not change it. parse_args puts its results in a fresh
-    namespace, so nothing carries over from one call to the next."""
-    parser = _Parser(prog="qform",
-                     description="Density of quadratic form quotient sets "
-                                 "in the p-adic numbers.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    cmds = parser.commands = {}
-
-    for name, text in (("decide", "dense or not, with both routes"),
-                       ("explain", "decision path as question/answer lines")):
-        p_verdict = cmds[name] = sub.add_parser(name, help=text)
-        _add_form_arguments(p_verdict)
-        p_verdict.set_defaults(func=_cmd_decide)
-
-    p_witness = cmds["witness"] = sub.add_parser(
-        "witness",
-        help="point pair approximating --target, or an exclusion certificate")
-    _add_form_arguments(p_witness)
-    p_witness.add_argument("--target", help="rational number, e.g. 7 or 3/5")
-    p_witness.add_argument("--r", type=int, default=1,
-                           help="required p-adic closeness exponent")
-    p_witness.add_argument(
-        "--bound", type=int,
-        help=f"search budget / certificate check bound, default "
-             f"{DEFAULT_BUDGET}, capped by {MAX_BUDGET_ENV}")
-    p_witness.set_defaults(func=_cmd_witness)
-
-    p_oracle = cmds["oracle"] = sub.add_parser(
-        "oracle", help="brute force residue coverage report")
-    _add_form_arguments(p_oracle)
-    p_oracle.add_argument("--r", type=int, default=1)
-    p_oracle.add_argument("--bound", type=int,
-                          help="coordinate box, default "
-                               f"{COVERAGE_BOUND_FACTOR} * p**r")
-    p_oracle.set_defaults(func=_cmd_oracle)
-
-    p_sweep = cmds["sweep"] = sub.add_parser(
-        "sweep", help="cross-check decider against oracle over a config file")
-    p_sweep.add_argument("--config", required=True,
-                         help='file of lines "a,b,c p" or "rank; coeffs p"')
-    p_sweep.add_argument("--r", type=int, default=2)
-    p_sweep.add_argument("--bound", type=int,
-                         help="coordinate box, default "
-                              f"{COVERAGE_BOUND_FACTOR} * p**r per line")
-    p_sweep.add_argument("--plain", action="store_true")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    return parser
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), in one pass when argv names a command
-    first: parser.commands maps it to its parser, which reads the rest."""
-    sub = build_parser().commands.get(argv[0]) if argv else None
-    return (sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-            if sub else build_parser().parse_args(argv))
-
-
 def _form_and_prime(args):
-    """The form, then the Prime, that _add_form_arguments's options give."""
+    """The form, then the Prime, that _FORM_OPTIONS give."""
     if args.form is not None:
         if args.rank is not None or args.coeffs is not None:
             raise UsageError("give either --form or --rank with --coeffs")
@@ -288,6 +211,95 @@ def _cmd_sweep(args) -> int:
           table)
     # a failed cross-check is a bug and outranks a bad line
     return 2 if not all_passed else int(bad_lines)
+
+
+# each command's help, function and options; an option maps to (type,
+# default, help), where type bool marks a flag and default ... a required one
+_FORM_OPTIONS = {
+    "--form": (str, None, 'binary form "a,b,c" or general form "rank; coeffs"'),
+    "--rank": (int, None, "rank when giving bare --coeffs"),
+    "--coeffs": (str, None,
+                 "comma separated coefficients, upper triangle by rows"),
+    "--prime": (int, ..., None),
+    "--plain": (bool, False, "human readable text instead of JSON")}
+_BOX = f"coordinate box, default {COVERAGE_BOUND_FACTOR} * p**r"
+_COMMANDS = {
+    "decide": ("dense or not, with both routes", _cmd_decide, _FORM_OPTIONS),
+    "explain": ("decision path as question/answer lines", _cmd_decide,
+                _FORM_OPTIONS),
+    "witness": ("point pair approximating --target, or an exclusion "
+                "certificate", _cmd_witness, {
+        **_FORM_OPTIONS,
+        "--target": (str, None, "rational number, e.g. 7 or 3/5"),
+        "--r": (int, 1, "required p-adic closeness exponent"),
+        "--bound": (int, None, f"search budget / certificate check bound, "
+                    f"default {DEFAULT_BUDGET}, capped by {MAX_BUDGET_ENV}")}),
+    "oracle": ("brute force residue coverage report", _cmd_oracle, {
+        **_FORM_OPTIONS, "--r": (int, 1, None), "--bound": (int, None, _BOX)}),
+    "sweep": ("cross-check decider against oracle over a config file",
+              _cmd_sweep, {
+        "--config": (str, ..., 'file of lines "a,b,c p" or "rank; coeffs p"'),
+        "--r": (int, 2, None), "--bound": (int, None, _BOX + " per line"),
+        "--plain": (bool, False, None)})}
+
+
+@functools.cache
+def build_parser():
+    """The argparse parser of _COMMANDS, built on first use and then shared,
+    so callers must not change it. _read takes every well-formed request:
+    argparse runs only for help and usage errors."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = Parser(prog="qform", description="Density of quadratic form "
+                    "quotient sets in the p-adic numbers.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, func, options) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=summary)
+        for option, (kind, default, text) in options.items():
+            if kind is bool:
+                cmd.add_argument(option, action="store_true", help=text)
+            elif default is ...:
+                cmd.add_argument(option, type=kind, required=True, help=text)
+            else:
+                cmd.add_argument(option, type=kind, default=default, help=text)
+        cmd.set_defaults(func=func)
+    return parser
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """build_parser()'s namespace for a well-formed request: a command, then
+    its exact options, each at most once and every required one given; a
+    flag without "=", a value after "=" (not "--") or as the next token (not
+    starting with "-"), converted by the option's type. Else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        kind = options[option][0] if option in options else None
+        if not kind or option in given or eq and (kind is bool or value == "--"):
+            return None
+        if not (eq or kind is bool) and (value := next(tokens, "-"))[:1] == "-":
+            return None
+        try:
+            given[option] = True if kind is bool else kind(value)
+        except ValueError:
+            return None
+    values = {option[2:]: given.get(option, default)
+              for option, (_, default, _) in options.items()}
+    return None if ... in values.values() else SimpleNamespace(
+        command=argv[0], func=func, **values)
+
+
+def _parse(argv: list[str]):
+    """_read(argv), else build_parser().parse_args(argv): argparse runs only
+    for help and usage errors."""
+    return _read(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

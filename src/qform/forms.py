@@ -54,6 +54,7 @@ class BinaryForm(_Frozen):
     coeffs = _Frozen._key  # (a, b, c), read straight from the slot
 
     def __init__(self, a: int, b: int, c: int):
+        a, b, c = index(a), index(b), index(c)  # numpy ints would wrap
         if (g := math.gcd(a, b, c)) != 1:
             raise InvalidFormError(f"form ({a},{b},{c}) is not primitive: "
                                    f"coefficients share the factor {g}")

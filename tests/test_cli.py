@@ -522,7 +522,7 @@ def test_parser_is_built_once(capsys):
 # every --bound at most 60 and every prime below 10**6, so that no call
 # enumerates a large box
 _FUZZ_OPTIONS = ("--form", "--rank", "--coeffs", "--prime", "--plain",
-                 "--target", "--r", "--bound", "--help")
+                 "--target", "--r", "--bound", "--config", "--help")
 _small_ints = st.integers(-3, 60).map(str)
 _forms = st.tuples(*[st.integers(-9, 9)] * 3).map(
     lambda c: ",".join(map(str, c)))
@@ -590,13 +590,79 @@ def parse_outcome(parse, argv):
        st.one_of(st.just([]), st.lists(_noise, max_size=4)), st.booleans())
 def test_dispatch_parses_as_the_top_level_parser(command, request, noise,
                                                  noise_first):
-    # a command first goes straight to its own parser; every other argv
-    # (no command, an unknown one, -h first) to the top level, as before
+    # _read takes a well-formed request and argparse every other argv (help,
+    # an abbreviation, a repeated option, no command or an unknown one);
+    # either way the outcome is what argparse alone gives
     chunks = noise + request if noise_first else request + noise
     argv = _attach_signed_values(
         command + [token for chunk in chunks for token in chunk])
     assert parse_outcome(_parse, argv) == \
         parse_outcome(build_parser().parse_args, argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "--form", "1,0,1", "--prime", "5"],
+    ["explain", "--prime=7", "--rank", "3", "--coeffs=1,0,0,1,0,1", "--plain"],
+    ["witness", "--form=-11,11,-4", "--prime", "3", "--target=-51/5",
+     "--r", "2", "--bound", "9"],
+    ["oracle", "--form", "1,0,1", "--prime", "3", "--r=2", "--bound", "90"],
+    ["sweep", "--config", "forms.cfg", "--plain", "--r", "3"],
+    ["decide", "--form", "1,0,1", "--prime", "5", "--prime", "7"],  # twice
+    ["decide", "--plain", "--plain", "--form", "1,0,1", "--prime", "5"],
+    ["decide", "--form", "1,0,1", "--pri", "5"],         # abbreviation
+    ["decide", "--form", "1,0,1", "--r", "3", "--prime", "5"],  # --rank
+    ["decide", "--form", "1,0,1", "--prime", "-7"],      # a negative number
+    ["decide", "--form", "1,0,1", "--prime", "5", "--plain=1"],
+    ["decide", "--form", "1,0,1", "--prime", "5", "--plain="],
+    ["decide", "--form=", "--prime", "5"],
+    ["decide", "--form", "", "--prime", "5"],
+    ["decide", "--form", "1,0,1", "--prime=--"], ["sweep", "--config=--"],
+    ["decide", "--form", "1,0,1", "--prime="],
+    ["decide", "--form", "1,0,1", "--prime"],            # no value
+    ["decide", "--form", "--prime", "5"], ["decide", "--prime", "5", "--form"],
+    ["decide", "--prime", "5", "--form", "--plain"],
+    ["decide", "--form", "1,0,1", "--prime", "5", "--"],
+    ["decide", "-h"], ["witness", "--help"], ["-h"], ["--help"],
+    ["decide", "--form", "1,0,1", "--prime", "5", "--nope", "1"],
+    ["decide", "1,0,1", "--prime", "5"],                 # bare positional
+    ["witness", "--form", "1,0,1", "--prime", "5", "--r", "1_0"],
+    ["witness", "--form", "1,0,1", "--prime", "5", "--r", "\u0663"],
+    ["witness", "--form", "1,0,1", "--prime", "5", "--r", "x"],
+    ["decide", "--form", "1,0,1"],                       # no --prime
+    ["sweep", "--r", "2"],                               # no --config
+    ["oracle", "--form", "1,0,1", "--prime", "3", "--target", "2"],
+    ["bogus", "--prime", "5"], ["--form", "1,0,1"], [],
+])
+def test_reader_parses_as_argparse(argv):
+    # well-formed requests go to _read, the rest to argparse: same outcome
+    assert parse_outcome(_parse, argv) == \
+        parse_outcome(build_parser().parse_args, argv)
+
+
+def test_well_formed_requests_need_no_argparse(capsys, tmp_path, monkeypatch):
+    # with build_parser unusable, every command still runs: _read took them
+    import qform.cli as cli_mod
+
+    def unusable():
+        raise AssertionError("argparse used for a well-formed request")
+
+    monkeypatch.setattr(cli_mod, "build_parser", unusable)
+    cfg = tmp_path / "forms.cfg"
+    cfg.write_text("1,0,1 5\n1,0,1 3\n")
+    requests = [
+        ("decide", "--form", "1,0,1", "--prime", "5"),
+        ("explain", "--rank", "3", "--coeffs", "1,0,0,1,0,1", "--prime=7",
+         "--plain"),
+        ("witness", "--form", "-11,11,-4", "--prime", "3", "--bound", "9"),
+        ("witness", "--form=1,0,1", "--prime", "5", "--target", "-51/5",
+         "--r=2"),
+        ("oracle", "--form", "1,0,1", "--prime", "3", "--r", "2"),
+        ("sweep", "--plain", "--config", str(cfg), "--bound", "40")]
+    for argv in requests:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out, argv
+    with pytest.raises(AssertionError, match="argparse used"):
+        main(["decide", "--form", "1,0,1", "--pri", "5"])
 
 
 def fresh_python(code: str) -> str:
@@ -637,6 +703,32 @@ print(json.dumps(steps))
     strategies = [json.loads(step[3])["witness"]["strategy"]
                   for step in steps if step[0].startswith("witness")]
     assert strategies == ["lift", "lift", "reduce-lift"]
+
+
+def argparse_after(requests: list[str]) -> list:
+    """[exit code, argparse loaded] after each request, in one new process."""
+    return json.loads(fresh_python(f"""
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+import qform.cli
+steps = []
+for argv in {requests!r}:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = qform.cli.main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+    steps.append([code, "argparse" in sys.modules])
+print(json.dumps(steps))
+"""))
+
+
+def test_argparse_loads_only_for_help_and_usage_errors():
+    # a cold process runs well-formed requests without importing argparse;
+    # --help or a usage error loads it
+    assert argparse_after(_COLD_STEPS) == [[0, False]] * len(_COLD_STEPS)
+    assert argparse_after(["witness --help"]) == [[0, True]]
+    assert argparse_after(["decide --prime 5 --pri 5"]) == [[1, True]]
 
 
 @pytest.mark.parametrize("call", [

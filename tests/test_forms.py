@@ -109,6 +109,20 @@ def test_general_form_refuses_non_integers():
     assert all(type(v) is int for v in g.coeffs)
 
 
+def test_binary_form_reads_numpy_coefficients_as_ints():
+    # a numpy int64 coefficient would wrap in the discriminant (b*b - 4ac
+    # past 2**63) and reach decide's arithmetic as a numpy scalar
+    big = BinaryForm(np.int64(3_000_000_019), 1, np.int64(3_000_000_017))
+    assert big.coeffs == (3_000_000_019, 1, 3_000_000_017)
+    assert all(type(v) is int for v in big.coeffs)
+    assert big.discriminant() == -36_000_000_432_000_001_291
+    for coeffs in ((3_000_000_019, 1, 3_000_000_017), (3, 1, 5), (1, 0, -9)):
+        plain, wrapped = BinaryForm(*coeffs), BinaryForm(*map(np.int64, coeffs))
+        assert wrapped == plain and hash(wrapped) == hash(plain)
+        for p in (3, 5, 7, 11, 13):
+            assert decide(wrapped, Prime(p)) == decide(plain, Prime(p)), (coeffs, p)
+
+
 class _Index:
     """An integer through __index__ alone, not an int subclass."""
 
