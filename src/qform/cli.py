@@ -23,6 +23,7 @@ from .padic import Prime, uncapped_text
 from .witness import DEFAULT_BUDGET, approximate_quotient, exclusion_certificate
 
 MAX_BUDGET_ENV = "QFORM_MAX_BUDGET"
+_escape = json.encoder.encode_basestring_ascii
 
 
 class UsageError(Exception):
@@ -63,12 +64,32 @@ def _form_and_prime(args):
     return parse_form(text), Prime(args.prime)
 
 
+def _indented(obj, pad="\n") -> str:
+    """json.dumps(obj, indent=2) byte for byte, without the pure-Python encoder
+    json runs for any indent. Dict keys other than str raise TypeError."""
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        return "{" + inner + ("," + inner).join([
+            _escape(key) + ": " + _indented(value, inner)
+            for key, value in obj.items()]) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[" + inner + ("," + inner).join([
+            _indented(item, inner) for item in obj]) + pad + "]"
+    return json.dumps(obj)  # {}, [], a float; json's TypeError otherwise
+
+
 def _emit(args, payload, plain) -> None:
     """Print the JSON of payload(), or with --plain the text plain(): only
     the one printed is built. Both print past Python's int-to-text digit cap
     (a witness at a large --r); parsing keeps it."""
     print(uncapped_text(plain) if args.plain else
-          uncapped_text(functools.partial(json.dumps, indent=2), payload()))
+          uncapped_text(_indented, payload()))
 
 
 def _emit_record(args, head: dict, key: str, record: dict) -> None:

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import qform
 import qform.witness as witness_mod
 from qform import valuation
-from qform.cli import (UsageError, _attach_signed_values, _parse, build_parser,
-                       main)
+from qform.cli import (UsageError, _attach_signed_values, _indented, _parse,
+                       build_parser, main)
 
 
 def run(capsys, *argv):
@@ -663,6 +663,98 @@ def test_well_formed_requests_need_no_argparse(capsys, tmp_path, monkeypatch):
         assert (code, err) == (0, "") and out, argv
     with pytest.raises(AssertionError, match="argparse used"):
         main(["decide", "--form", "1,0,1", "--pri", "5"])
+
+
+# text with the characters json escapes: quotes, backslashes, control
+# characters and non-ASCII (a surrogate pair past U+FFFF), in keys and values
+_json_text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'
+                                              "\u00e9\u2028\u20ac\U0001f600"),
+                               st.characters()), max_size=6)
+
+
+class _LoudInt(int):
+    # an int subclass with its own text: json writes int.__repr__ of it
+    def __repr__(self):
+        return "loud"
+
+    __str__ = __repr__
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _json_text
+    | st.integers().map(_LoudInt)
+    | st.builds(lambda digits, sign: sign * (10 ** digits + 7),
+                st.integers(4290, 4400), st.sampled_from((1, -1))),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_json_text, inner, max_size=4),
+    max_leaves=25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values)
+def test_indented_writes_the_bytes_of_json_dumps(value):
+    # the CLI's writer against json's own indent-2 output; huge ints print
+    # with the digit cap lifted, as the CLI prints them
+    cap = digit_cap()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert _indented(value) == json.dumps(value, indent=2)
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
+@pytest.mark.skipif(not digit_cap(), reason="this Python has no digit cap")
+@pytest.mark.parametrize("value", [10 ** 4300, [3, -10 ** 4400],
+                                   [1, {"k": -10 ** 4400}]],
+                         ids=["int", "int-list", "nested"])
+def test_indented_keeps_the_digit_cap_error(value):
+    # past the default cap both raise json's ValueError, which
+    # padic.uncapped_text retries with the cap lifted
+    cap = digit_cap()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for write in (_indented, lambda v: json.dumps(v, indent=2)):
+            with pytest.raises(ValueError, match="4300"):
+                write(value)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+@pytest.mark.parametrize("value", [{1: 2}, {"a": object()}, [{1, 2}],
+                                   {"a": [b"x"]}, Fraction(1, 3)])
+def test_indented_refuses_what_it_cannot_write(value):
+    # a value json cannot write, or a key that is not a str, raises TypeError
+    # rather than printing bytes that json would not print
+    with pytest.raises(TypeError):
+        _indented(value)
+
+
+def test_json_output_needs_no_pure_python_encoder(capsys, tmp_path,
+                                                  monkeypatch):
+    # json's pure-Python encoder, which any indent selects, is never used,
+    # and every command prints exactly json.dumps(payload, indent=2)
+    def unusable(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder used")
+
+    cfg = tmp_path / "forms.cfg"
+    cfg.write_text("1,0,1 5\n1,0,1 3\n")
+    requests = [
+        ("decide", "--form", "1,0,-9", "--prime", "3"),
+        ("explain", "--rank", "3", "--coeffs", "1,0,0,1,0,1", "--prime", "7"),
+        ("witness", "--form=1,0,1", "--prime", "5", "--target=-51/5",
+         "--r", "2"),
+        ("witness", "--form", "-11,11,-4", "--prime", "3", "--bound", "9"),
+        ("oracle", "--form", "1,0,3", "--prime", "3", "--r", "2"),
+        ("sweep", "--config", str(cfg), "--bound", "40")]
+    monkeypatch.setattr(json.encoder, "_make_iterencode", unusable)
+    outputs = [run(capsys, *argv) for argv in requests]
+    monkeypatch.undo()
+    for argv, (code, out, err) in zip(requests, outputs):
+        assert (code, err) == (0, ""), argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 def fresh_python(code: str) -> str:
