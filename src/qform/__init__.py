@@ -13,7 +13,7 @@ from .decide import (ALL_TREE_LEAVES, LEAF_ANISOTROPIC, LEAF_NONSINGULAR,
                      TAG_SQUARE_CLASS, Verdict, decide,
                      decide_binary_squareclass, decide_binary_tree)
 from .errors import BudgetExceededError, InternalConsistencyError
-from .forms import (BinaryForm, GeneralForm, InvalidFormError, arnold_compose,
+from .forms import (BinaryForm, GeneralForm, InvalidFormError,
                     change_variables, factor_discriminant, format_form,
                     is_isotropic_mod_p, odd_singular_reduction, parse_form,
                     two_singular_reduction)
@@ -36,7 +36,7 @@ __all__ = [
     "LEAF_ODD_RESIDUE", "LEAF_TWO_K_ODD", "LEAF_TWO_UNIT_NONSQUARE",
     "LEAF_TWO_UNIT_SQUARE", "Prime", "TAG_RANK_HIGH", "TAG_RANK_ONE",
     "TAG_SQUARE_CLASS", "Verdict", "Witness", "approximate_quotient",
-    "arnold_compose", "change_variables", "coverage", "cross_check", "decide",
+    "change_variables", "coverage", "cross_check", "decide",
     "decide_binary_squareclass", "decide_binary_tree", "excluded_classes",
     "exclusion_certificate", "factor_discriminant", "format_form",
     "is_isotropic_mod_p", "is_prime", "is_square_in_qp",

@@ -248,22 +248,6 @@ def two_singular_reduction(f: BinaryForm) -> SingularReduction:
     return _singular_reduction(f, 2)
 
 
-def arnold_compose(f: BinaryForm, p1, p2, p3) -> tuple[int, int]:
-    """A point where f takes the product of its values at p1, p2, p3.
-
-    f(result) == f(p1) * f(p2) * f(p3), exactly, for every integer input.
-    """
-    a, b, c = f.a, f.b, f.c
-    x1, y1 = p1
-    x2, y2 = p2
-    x3, y3 = p3
-    x = ((a * x1 * x2 - c * y1 * y2) * x3
-         + (c * (y1 * x2 + x1 * y2) + b * x1 * x2) * y3)
-    y = ((a * (x1 * y2 + x2 * y1) + b * y1 * y2) * x3
-         + (-a * x1 * x2 + c * y1 * y2) * y3)
-    return x, y
-
-
 def _compose(f: BinaryForm, m) -> tuple[int, int, int]:
     """Coefficients of f(m11 x + m12 y, m21 x + m22 y): f at the columns e1
     and e2 of m, and between them f(e1 + e2) - f(e1) - f(e2)."""

@@ -11,6 +11,7 @@ _search_pair, the value-pair search of witnesses and certificates, lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count, groupby, islice, product
 from math import gcd
 
@@ -255,6 +256,14 @@ def _search_pair(f, p: int, tn: int, td: int, r: int, shells):
         f"shells {walked}")
 
 
+@lru_cache(maxsize=32)
+def _valuation_table(p: int):
+    """(L, t): t[i] = min(v(i), L) for i < p**L <= 2**16, the most levels L."""
+    level = next(k for k in count(2) if p ** (k + 1) > 2 ** 16)
+    i = np.arange(p ** level)
+    return level, sum((i % p ** k == 0).astype(np.int8) for k in range(1, level + 1))
+
+
 def _value_pair(nums, p: int, tn: int, td: int, r: int):
     """First value pair (N, D) whose quotient is within p**-r of tn/td, or None.
 
@@ -264,32 +273,38 @@ def _value_pair(nums, p: int, tn: int, td: int, r: int):
     v(N) = v(D) + shift and, x' being the unit part of x, N'*td' = tn'*D'
     mod p**(r - shift): one modulus, so one table keyed by (class, residue).
     """
-    if nums.dtype != object:
-        # int64 keeps 2|D| exact; NumPy 2 refuses a p past the dtype
+    if nums.dtype != object and p >= _INT32_SAFE:
+        # NumPy 2 refuses a p past the dtype
         nums = nums.astype(np.int64 if p < _INT64_SAFE else object)
-    # valuations and unit parts by a shrinking peel; 0 joins every class
-    zero = nums == 0
-    vals, units = np.where(zero, _INT64_SAFE, 0), nums.copy()
-    idx = np.flatnonzero(~zero)
-    cur = nums[idx]
-    while cur.size:
-        q = cur // p
-        hit = q * p == cur
-        idx, cur = idx[hit], q[hit]
-        vals[idx] += 1
-        units[idx] = cur
+    level, t = _valuation_table(p) if p * p <= 2 ** 16 else (1, None)
+
+    def low(x):  # x // p**L and min(v(x), L), read off x mod p**L
+        q = x // p ** level
+        x = x - q * p ** level
+        return q, x == 0 if t is None else t[x.astype(np.intp, copy=False)]
+    # L levels a pass: values of valuation >= L go round till only 0, at idx, is left
+    q, v = low(nums)
+    vals, idx = v.astype(np.int64), np.flatnonzero(v == level)
+    cur = q[idx]
+    while cur.any():
+        q, v = low(cur)
+        vals[idx] += v
+        idx, cur = idx[v == level], q[v == level]
     g = int(valuation(td, p))
     shift = valuation(tn, p) - g
+    # 0 is N for every D when shift >= r, else in no class: have[-1] is False
+    vals[idx] = _INT64_SAFE if shift >= r else -1
     if shift >= r:
         dens = np.flatnonzero(vals <= vals.max(initial=0) - r)
     else:
-        num = np.flatnonzero(~zero & (vals >= g + shift))
-        # only denominators of a class that holds a numerator
-        have = np.bincount(vals[num] - shift) > 0
-        dens = np.flatnonzero(vals < have.size)
-        dens = dens[have[vals[dens]]]
-    if dens.size and shift < r:
+        num, most = np.flatnonzero(vals >= g + shift), int(vals.max(initial=0))
+        have = np.zeros(most + g + 2, bool)
+        have[vals[num] - shift] = True  # the classes that hold a numerator
+        if not (dens := np.flatnonzero(have[vals])).size:
+            return None
         m, a, b = p ** (r - shift), td // p ** g, tn // p ** (g + shift)
+        units = nums // np.array([p ** k for k in range(most + 1)],
+                                 nums.dtype)[vals] if most else nums
         reach = int(max(units.max(), -units.min()))
         if (bound := reach * (abs(a) + abs(b))) < m:
             # |N'*a - D'*b| <= bound < m: an equation, which larger moduli test
@@ -303,7 +318,7 @@ def _value_pair(nums, p: int, tn: int, td: int, r: int):
             x = np.minimum(x - x // m * m, top)
             keys.append((vals[sel] - c).astype(dtype) * (top + 1) + x)
         nkey, dkey = keys
-        if (span := have.size * (top + 1)) <= max(2 ** 16, 4 * nums.size):
+        if (span := (most + 1 - shift) * (top + 1)) <= max(2 ** 16, 4 * nums.size):
             table = np.zeros(span, bool)
             table[nkey.astype(np.intp, copy=False)] = True
             hit = table[dkey.astype(np.intp, copy=False)]
@@ -314,9 +329,9 @@ def _value_pair(nums, p: int, tn: int, td: int, r: int):
         dens, dkey = dens[hit], dkey[hit]
     if not dens.size:
         return None
-    # 2|D| + (D > 0) orders by (|D|, D); sorted nums put the least N first
+    # sorted nums: argmin takes the negative D of a tie, and the least N comes first
     cand = nums[dens]
-    j = int(np.argmin(2 * np.abs(cand) + (cand > 0)))
+    j = int(np.argmin(np.abs(cand)))
     first = (np.flatnonzero(vals >= r + vals[dens[j]])[0] if shift >= r
              else num[np.argmax(nkey == dkey[j])])
     return int(nums[first]), int(cand[j])

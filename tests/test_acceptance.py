@@ -13,10 +13,11 @@ from math import gcd
 import pytest
 
 from qform import (ALL_TREE_LEAVES, BinaryForm, GeneralForm, Prime,
-                   arnold_compose, coverage, cross_check, decide,
+                   coverage, cross_check, decide,
                    decide_binary_squareclass, decide_binary_tree,
                    exclusion_certificate, is_isotropic_mod_p,
                    lift_representation, lift_representation_two, valuation)
+from test_forms import arnold_compose
 
 rng = random.Random(0xacce97)
 

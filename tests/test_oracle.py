@@ -493,12 +493,16 @@ def value_pair_reference(values, p, tn, td, r):
 @st.composite
 def value_pair_cases(draw):
     p = draw(st.sampled_from((2, 3, 5, 7, 11)))
-    # unit parts times p**k: int32 boxes, int64, and object past 2**62
-    dtype, top = draw(st.sampled_from(
-        ((np.int32, 1000), (np.int64, 2 ** 40), (object, 2 ** 70))))
+    # unit parts times p**k: int32 boxes, int64, and object past 2**62; k up
+    # to 24 goes past one pass of the valuation peel (16 levels at p = 2),
+    # and values the dtype cannot hold are dropped
+    dtype, top, cap = draw(st.sampled_from(
+        ((np.int32, 1000, 2 ** 31), (np.int64, 2 ** 40, 2 ** 62),
+         (object, 2 ** 70, None))))
     units = st.one_of(st.integers(-9, 9), st.integers(-top, top))
-    values = [u * p ** k for u, k in draw(st.lists(
-        st.tuples(units, st.integers(0, 6)), max_size=40))]
+    values = [v for v in (u * p ** k for u, k in draw(st.lists(
+        st.tuples(units, st.one_of(st.integers(0, 6), st.integers(0, 24))),
+        max_size=40))) if cap is None or abs(v) < cap]
     tn = draw(st.one_of(st.just(0), st.integers(-10 ** 4, 10 ** 4)))
     td = draw(st.integers(1, 50)) * p ** draw(st.integers(0, 3))
     # callers pass a nonzero target in lowest terms; 0 keeps any td
@@ -513,6 +517,48 @@ def test_value_pair_matches_reference(case):
     # _value_pair takes the sorted distinct values; the reference any values
     values, *rest = case
     assert _value_pair(_distinct(values), *rest) == value_pair_reference(*case)
+
+
+# primes on both sides of each boundary of _value_pair's valuation peel: a
+# table of L >= 2 levels up to p = 2**8 and a comparison past it, p on
+# either side of 2**16, int32 values kept below p = 2**31, objects from 2**62
+_PEEL_PRIMES = (2, 3, 251, 257, 65521, 65537, 2 ** 31 - 1, 2 ** 31 + 11,
+                10 ** 18 + 3, 2 ** 62 + 135)
+
+
+def peel_levels(p):
+    """The levels L of one pass of the peel: p**L <= 2**16, at least 1."""
+    return max(k for k in range(1, 17) if k == 1 or p ** k <= 2 ** 16)
+
+
+@st.composite
+def peel_value_pair_cases(draw):
+    p = draw(st.sampled_from(_PEEL_PRIMES))
+    level = peel_levels(p)
+    dtype, cap = draw(st.sampled_from(
+        ((np.int32, 2 ** 31), (np.int64, 2 ** 62), (object, 2 ** 200))))
+    # valuation 0, exactly L and past 2L, each a pass boundary of the peel
+    exps = st.one_of(st.sampled_from((0, level, 2 * level + 1)),
+                     st.integers(0, 3 * level + 2))
+    units = st.one_of(st.integers(-9, 9), st.integers(-10 ** 6, 10 ** 6))
+    values = {u * p ** k for u, k in draw(st.lists(st.tuples(units, exps),
+                                                    max_size=30))
+              if u % p and abs(u * p ** k) < cap}
+    values |= {0} if draw(st.booleans()) else set()
+    r = draw(st.integers(1, 4))
+    tn = draw(st.one_of(st.just(0), st.integers(-10 ** 4, 10 ** 4),
+                        st.integers(1, 99).map(lambda u: u * p ** r)))
+    td = draw(st.integers(1, 50)) * p ** draw(st.integers(0, 2))
+    g = gcd(tn, td) if tn else 1
+    return (np.array(sorted(values), dtype=dtype), p, tn // g, td // g, r)
+
+
+@settings(max_examples=400, deadline=None)
+@given(peel_value_pair_cases())
+def test_value_pair_matches_reference_across_peel_passes(case):
+    # a value's valuation decides its class, and which numerators of
+    # valuation >= r + v(D) pair with D when v(tn) - v(td) >= r
+    assert _value_pair(*case) == value_pair_reference(*case)
 
 
 # the value-pair search on real shells: boxes small enough for the quadratic
