@@ -122,8 +122,7 @@ def _shell_batches(f, lo: int, hi: int):
     in C order; rows inside the inner box take only its two outer strips. A
     block is as many consecutive prefixes of one layout (the zero one alone)
     as fit, each over all the runs, or else one prefix's rows or row slices.
-    Past rank 2 each run's quadratic part is kept for the shell while those
-    kept fit _CHUNK_ENTRIES. Values past int64 are ints in object arrays.
+    Values past int64 are ints in object arrays.
     """
     # bounds |Q(x)| over the box, and each monomial term's share of it too
     peak = sum(abs(c) for c in f.coeffs) * hi * hi
@@ -134,7 +133,6 @@ def _shell_batches(f, lo: int, hi: int):
     w, t, n = 2 * hi + 1, hi - lo, max(f.rank - 2, 0)
     # rank 1 is the one row u = 0 of a form in (u, v)
     aa, bb, cc = f.coeffs[-3:] if f.rank > 1 else (0, 0, f.coeffs[0])
-    quads, kept = {}, 0
     # per prefix coordinate: its cross terms, then its terms with u and v
     coef = np.array([[f.coeff(i, j) * (i <= j) for j in range(n + 2)]
                      for i in range(n)], dtype)
@@ -163,13 +161,9 @@ def _shell_batches(f, lo: int, hi: int):
                 parts = []
                 for u0, cols, size in block:
                     rows = side[u0 + hi:u0 + hi - (-size // len(cols)), None]
-                    key = u0, int(cols[0]), len(cols), size
-                    if (quad := quads.get(key)) is None:
-                        quad = rows * (bb * cols)
-                        quad += rows * (aa * rows)
-                        quad += cols * (cc * cols)
-                        if n and kept + quad.size <= _CHUNK_ENTRIES:
-                            quads[key], kept = quad, kept + quad.size
+                    quad = rows * (bb * cols)
+                    quad += rows * (aa * rows)
+                    quad += cols * (cc * cols)
                     vals = quad
                     if not zero:
                         vals = rows * lin_u + (cols * lin_v + const)

@@ -201,7 +201,10 @@ def approximate_quotient(f, p: int, target_num: int, target_den: int,
     if f.rank == 2:
         return _structured_witness(f.to_binary(), p, tn, td, r, precision,
                                    verdict.factorization.k)
-    return _enumeration_witness(f, p, tn, td, r, budget)
+    if found := _search_pair(f, p, tn, td, r, _expanding_bounds(budget)):
+        return Witness.build(f, p, *found[1], tn, td, r, "enumeration")
+    raise BudgetExceededError(
+        f"no witness found with coordinates up to {budget}", budget)
 
 
 def _structured_witness(f: BinaryForm, p: int, tn: int, td: int, r: int,
@@ -226,13 +229,6 @@ def _structured_witness(f: BinaryForm, p: int, tn: int, td: int, r: int,
 
     return Witness.build(f, p, lift(tn), lift(td), tn, td, r,
                          "lift" if reduction is None else "reduce-lift")
-
-
-def _enumeration_witness(f, p: int, tn: int, td: int, r: int, limit: int):
-    if found := _search_pair(f, p, tn, td, r, _expanding_bounds(limit)):
-        return Witness.build(f, p, *found[1], tn, td, r, "enumeration")
-    raise BudgetExceededError(
-        f"no witness found with coordinates up to {limit}", limit)
 
 
 def exclusion_certificate(f, p: int, verify_bound: int = DEFAULT_BUDGET

@@ -10,6 +10,7 @@ import time
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 
 from qform import (ALL_TREE_LEAVES, BinaryForm, GeneralForm, Prime,
@@ -181,25 +182,28 @@ def test_criterion_7_lifting_soundness(capsys):
 
 
 def count_quotients_inside_ball(f, q, tn, td, radius, bound):
-    """Pairs (numerator point, denominator point) strictly inside the ball.
+    """Denominator values with a quotient N/D strictly inside the ball.
 
     A quotient N/D lies strictly inside exactly when
     v(N*td - tn*D) > radius + v(D) + v(td), so group denominators by
-    valuation and test one congruence per pair via a residue set.
+    valuation and test one congruence per denominator against the sorted
+    residues of the numerators. The box's values come from f.coeffs in
+    local numpy, not from qform's enumerator.
     """
-    values = {f.evaluate((x, y))
-              for x in range(-bound, bound + 1)
-              for y in range(-bound, bound + 1)}
+    a, b, c = f.coeffs
+    x = np.arange(-bound, bound + 1)[:, None]
+    values = np.sort(a * x * x + b * x * x.T + c * x.T * x.T, axis=None)
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
     g = valuation(td, q)
-    hits = 0
-    by_valuation = {}
-    for dv in values:
-        if dv != 0:
-            by_valuation.setdefault(valuation(dv, q), set()).add(dv)
-    for s, dens in by_valuation.items():
+    hits, s, top = 0, 0, np.abs(values).max()
+    while q ** s <= top:
+        dens = values[(values % q ** s == 0) & (values % q ** (s + 1) != 0)]
         m = q ** (radius + s + g + 1)
-        numerators = {nv * td % m for nv in values}
-        hits += sum(1 for dv in dens if tn * dv % m in numerators)
+        numerators = np.sort(values * td % m)
+        probes = tn * dens % m
+        pos = np.minimum(np.searchsorted(numerators, probes), numerators.size - 1)
+        hits += int(np.count_nonzero(numerators[pos] == probes))
+        s += 1
     return hits
 
 
