@@ -86,17 +86,17 @@ def _indented(obj, pad="\n") -> str:
 
 def _emit(args, payload, plain) -> None:
     """Print the JSON of payload(), or with --plain the text plain(): only
-    the one printed is built. Both print past Python's int-to-text digit cap
-    (a witness at a large --r); parsing keeps it."""
-    print(uncapped_text(plain) if args.plain else
-          uncapped_text(_indented, payload()))
+    the one printed is built, inside uncapped_text, so it prints past Python's
+    int-to-text digit cap (a large --r, a target past it); parsing keeps it."""
+    print(uncapped_text(plain if args.plain else lambda: _indented(payload())))
 
 
-def _emit_record(args, head: dict, key: str, record: dict) -> None:
-    """JSON of head with record under key; plain text is one "key: value"
-    line per field of record."""
-    _emit(args, lambda: {**head, key: record},
-          lambda: "\n".join(f"{name}: {value}" for name, value in record.items()))
+def _emit_record(args, head: dict, key: str, record) -> None:
+    """JSON of head with record.to_json_dict() under key; plain text is one
+    "key: value" line per field of it."""
+    _emit(args, lambda: {**head, key: record.to_json_dict()},
+          lambda: "\n".join(f"{name}: {value}"
+                            for name, value in record.to_json_dict().items()))
 
 
 def _cmd_decide(args) -> int:
@@ -174,15 +174,14 @@ def _cmd_witness(args) -> int:
         key, evidence = "certificate", exclusion_certificate(
             f, p, verify_bound=budget)
     _emit_record(args, {"form": format_form(f), "prime": int(p),
-                        "dense": verdict.dense}, key, evidence.to_json_dict())
+                        "dense": verdict.dense}, key, evidence)
     return 0
 
 
 def _cmd_oracle(args) -> int:
     f, p = _form_and_prime(args)
     report = coverage(f, p, args.r, _coverage_bound(args, p))
-    _emit_record(args, {"form": format_form(f), "prime": int(p)}, "report",
-                 report.to_json_dict())
+    _emit_record(args, {"form": format_form(f), "prime": int(p)}, "report", report)
     return 0
 
 

@@ -212,28 +212,23 @@ def _distinct(values) -> np.ndarray:
     return flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
 
 
-def _shell_values(f, lo: int, hi: int) -> np.ndarray:
-    """The sorted distinct values of the half shell: the blocks are folded
-    through _distinct whenever _CHUNK_ENTRIES new entries wait."""
-    pending, size = [], 0
-    for _, batch in _shell_batches(f, lo, hi):
-        pending.append(batch)
-        size += batch.size
-        if size >= _CHUNK_ENTRIES:
-            pending, size = [_distinct(np.concatenate(pending))], 0
-    return _distinct(np.concatenate(pending) if pending[1:] else pending[0])
-
-
 def _search_pair(f, p: int, tn: int, td: int, r: int, shells):
     """((N, D), (num_point, den_point)): _value_pair's pair, asked after each
-    (lo, hi) half shell on the values so far, with each value's first point
-    in product order from a second walk of those shells; or None."""
-    walked = []
+    (lo, hi) half shell on the sorted distinct values so far, with each
+    value's first point in product order from a second walk of those shells;
+    or None. Every shell's blocks join one pending list, folded through
+    _distinct whenever _CHUNK_ENTRIES new entries wait and at a shell's end."""
+    walked, pending, size = [], [], 0
     for lo, hi in shells:
-        new = _shell_values(f, lo, hi)
-        values = _distinct(np.concatenate((values, new))) if walked else new
+        for _, batch in _shell_batches(f, lo, hi):
+            pending.append(batch)
+            if (size := size + batch.size) >= _CHUNK_ENTRIES:
+                pending, size = [_distinct(np.concatenate(pending))], 0
+        if size:  # else the last fold left pending one sorted set
+            pending, size = [_distinct(np.concatenate(pending) if pending[1:]
+                                       else pending[0])], 0
         walked.append((lo, hi))
-        if (pair := _value_pair(values, p, tn, td, r)) is not None:
+        if (pair := _value_pair(pending[0], p, tn, td, r)) is not None:
             break
     else:
         return None

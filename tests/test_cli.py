@@ -173,28 +173,46 @@ def digit_cap() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+def witness_coordinates(w, keys):
+    """The coordinates under keys of a witness, JSON or --plain: a number,
+    or a rank >= 3 point's list."""
+    coords = []
+    for key in keys:
+        value = json.loads(str(w[key]))
+        coords += value if isinstance(value, list) else [value]
+    return coords
+
+
 def test_witness_past_the_int_digit_cap_prints(capsys):
-    # 5**7000 has 4893 digits, past Python's default cap of 4300; the CLI
-    # lifts the cap while it formats the witness, then puts it back
+    # 5**7000 has 4893 digits and the target 10**5000 has 5001, past
+    # Python's default cap of 4300; the CLI lifts the cap while it formats
+    # the witness, then puts it back
     cap = digit_cap()
-    for plain in ((), ("--plain",)):
-        code, out, err = run(capsys, "witness", "--form", "1,0,1", "--prime",
-                             "5", "--target", "3", "--r", "7000", *plain)
-        assert (code, err) == (0, ""), plain
+    cases = ((("--form", "1,0,1"), "3", 7000), (("--form", "1,0,1"), "1e5000", 1),
+             (("--rank", "3", "--coeffs", "1,0,0,1,0,1"), "1e5000", 1))
+    for (form, target, r), plain in itertools.product(cases, ((), ("--plain",))):
+        code, out, err = run(capsys, "witness", *form, "--prime", "5",
+                             "--target", target, "--r", str(r), *plain)
+        assert (code, err) == (0, ""), (form, target, plain)
         assert digit_cap() == cap
         if cap:
             sys.set_int_max_str_digits(0)
         try:
             w = dict(line.split(": ", 1) for line in out.splitlines()) \
                 if plain else json.loads(out)["witness"]
-            x, y, z, v = (int(w[k]) for k in "xyzw")
+            want = Fraction(target)
+            assert w["target"] == f"{want.numerator}/{want.denominator}"
+            # x, y over z, w for a binary form; x over z at rank 3
+            x = witness_coordinates(w, "xy" if "y" in w else "x")
+            z = witness_coordinates(w, "zw" if "w" in w else "z")
         finally:
             if cap:
                 sys.set_int_max_str_digits(cap)
-        assert x.bit_length() > 16000, plain
-        diff = Fraction(x * x + y * y, z * z + v * v) - 3
+        assert r == 1 or max(map(abs, x)).bit_length() > 16000, plain
+        # every case is a sum of squares
+        diff = Fraction(sum(t * t for t in x), sum(t * t for t in z)) - want
         assert diff == 0 or valuation(diff.numerator, 5) - \
-            valuation(diff.denominator, 5) >= 7000, plain
+            valuation(diff.denominator, 5) >= r, (form, target, plain)
 
 
 @pytest.mark.skipif(not digit_cap(), reason="this Python has no digit cap")

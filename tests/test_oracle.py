@@ -12,7 +12,7 @@ import qform.oracle as oracle_mod
 from qform import (BinaryForm, GeneralForm, Prime, coverage, cross_check,
                    decide, excluded_classes, valuation)
 from qform.oracle import (_ResidueTracker, _distinct, _expanding_bounds,
-                          _point_at, _shell_batches, _shell_values,
+                          _point_at, _search_pair, _shell_batches,
                           _value_pair)
 
 rng = random.Random(0x0c1e)
@@ -229,18 +229,48 @@ def test_chunking_changes_no_report(monkeypatch):
         assert reports() == want, ceiling
 
 
+def spy_value_pair(monkeypatch):
+    """The value sets _search_pair asks _value_pair about, which finds no
+    pair, so the search walks every shell."""
+    asked = []
+    monkeypatch.setattr(oracle_mod, "_value_pair",
+                        lambda values, *rest: asked.append(values))
+    return asked
+
+
 def test_real_ceilings_change_no_result(monkeypatch):
     # the shells 512-1024 and 1024-1210 of this box hold 1.57M and 0.83M
     # values, so _blocks slices rows; the rank-3 shell's 378k values are
     # folded at 2**17 but not at 2**20
     f = GeneralForm(3, (1, 0, 0, 1, 0, 3))
-    results = []
+    asked, results = spy_value_pair(monkeypatch), []
     for ceiling in (2 ** 17, 2 ** 20):
         monkeypatch.setattr(oracle_mod, "_CHUNK_ENTRIES", ceiling)
+        assert _search_pair(f, 5, 1, 1, 1, [(32, 50)]) is None
         results.append((coverage(BinaryForm(6, 1, 5), Prime(11), 2, 1210),
-                        _distinct(_shell_values(f, 32, 50)).tolist()))
+                        asked.pop().tolist()))
     assert results[0] == results[1]
     assert len(results[0][1]) == 7985
+
+
+def test_search_folds_every_walked_block(monkeypatch):
+    # after each shell _value_pair sees the sorted distinct values of every
+    # block walked so far, in their dtype, whether the blocks are folded
+    # once a shell (no ceiling), every block (1) or inside a shell (37)
+    shells = [(0, 2), (2, 3), (3, 5)]
+    asked = spy_value_pair(monkeypatch)
+    for ceiling in (None, 1, 37):
+        if ceiling:
+            monkeypatch.setattr(oracle_mod, "_CHUNK_ENTRIES", ceiling)
+        for f in SHELL_FORMS:
+            asked.clear()
+            assert _search_pair(f, 3, 1, 1, 1, shells) is None
+            blocks = []
+            for (lo, hi), values in zip(shells, asked, strict=True):
+                blocks += [vals for _, vals in _shell_batches(f, lo, hi)]
+                want = _distinct(np.concatenate(blocks))
+                assert values.dtype == want.dtype, (f, hi, ceiling)
+                assert values.tolist() == want.tolist(), (f, hi, ceiling)
 
 
 def test_coverage_memory_is_bounded():
@@ -402,6 +432,16 @@ def test_excluded_classes_examples():
     v5 = decide(GeneralForm(1, (1,)), Prime(5))
     excl = excluded_classes(v5, 5, 1)
     assert excl == frozenset({2, 3})               # nonsquares mod 5
+
+
+def test_dense_verdicts_exclude_nothing():
+    # a dense leaf has no obstruction: nothing is excluded at any precision
+    for f, p in ((BinaryForm(1, 0, 1), 5), (BinaryForm(1, 0, -17), 2),
+                 (GeneralForm(3, (1, 0, 0, 1, 0, 3)), 3)):
+        verdict = decide(f, Prime(p))
+        assert verdict.dense, (f, p)
+        for r in (1, 2, 4):
+            assert excluded_classes(verdict, p, r) == frozenset(), (f, p, r)
 
 
 def test_excluded_classes_never_covered():
@@ -596,13 +636,14 @@ def shell_value_pair_cases(draw):
         tn, td = draw(st.integers(-10 ** 4, 10 ** 4)), draw(st.integers(1, 60))
     g = gcd(tn, td) if tn else 1
     box = draw(st.integers(1, _SHELL_BOXES[rank]))
-    return (oracle_mod._shell_values(f, 0, box), p, tn // g, td // g, r)
+    shell = np.concatenate([vals for _, vals in _shell_batches(f, 0, box)])
+    return (_distinct(shell), p, tn // g, td // g, r)
 
 
 @settings(max_examples=150, deadline=None)
 @given(shell_value_pair_cases())
 def test_value_pair_matches_reference_on_shells(case):
     values, *rest = case
-    # _shell_values hands the search a sorted distinct shell
+    # the search hands _value_pair a sorted distinct shell
     assert (values[1:] > values[:-1]).all()
     assert _value_pair(_distinct(values), *rest) == value_pair_reference(*case)
